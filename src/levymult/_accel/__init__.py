@@ -1,92 +1,21 @@
-"""Backend selection for the hot Monte Carlo kernels.
+"""The Monte Carlo kernels and their random streams.
 
-The kernels in :mod:`.core` are written in the numba-compilable numpy subset
-and run unmodified under either backend:
-
-* ``numba`` (default when numba imports): every kernel is jitted, ensemble
-  drivers parallelise over paths with ``prange``.
-* ``numpy``: the same source executes as plain Python/numpy.
-
-Select explicitly with the environment variable ``LEVYMULT_BACKEND`` set to
-``numba`` or ``numpy`` before import, or grab a specific instance with
-:func:`get_backend` (both can coexist in one process; results agree to
-floating-point roundoff, and the random streams are bitwise identical).
-Ensemble statistics are reduced outside the kernels with thread-count
-independent numpy reductions, so any worker count gives the same output.
+:mod:`.core` holds the ensemble kernels (plain numpy, one path at a time for
+the evolve and projection sums, vectorised over all jumps for the Lévy
+sums); :mod:`.rng` holds the counter-based per-path random streams.
+Ensemble statistics are reduced outside the kernels with numpy reductions
+whose order does not depend on any worker count, so every run of a config
+and seed gives the same output.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import sys
-
-from . import core as _numpy_core
+from . import core
 from . import rng  # noqa: F401  (re-export)
-
-_ENV = "LEVYMULT_BACKEND"
-_numba_core = None
-_numba_error = None
-
-
-def _load_numba_instance():
-    """Jit a private copy of the core module, leaving the plain one intact."""
-    global _numba_core, _numba_error
-    if _numba_core is not None or _numba_error is not None:
-        return _numba_core
-    try:
-        import numba
-    except ImportError as exc:  # pragma: no cover - numba is a hard dep
-        _numba_error = exc
-        return None
-    spec = importlib.util.spec_from_file_location(
-        "levymult._accel._core_jit", _numpy_core.__file__)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod
-    spec.loader.exec_module(mod)
-    jit = numba.njit(cache=True, fastmath=False)
-    mod._flat = jit(mod._flat)
-    mod._panel_accumulate = jit(mod._panel_accumulate)
-    mod._point_eval = jit(mod._point_eval)
-    mod.levy_functional = jit(mod.levy_functional)
-    mod.evolve_one = jit(mod.evolve_one)
-    mod.projection_one = jit(mod.projection_one)
-    mod.levy_one = jit(mod.levy_one)
-    mod.prange = numba.prange
-    pjit = numba.njit(cache=True, parallel=True, fastmath=False)
-    mod.evolve_ensemble = pjit(mod.evolve_ensemble)
-    mod.projection_ensemble = pjit(mod.projection_ensemble)
-    mod.levy_ensemble = pjit(mod.levy_ensemble)
-    _numba_core = mod
-    return mod
 
 
 def get_backend(name: str | None = None):
-    """Return the kernel module for ``name`` ('numba' | 'numpy' | None=env)."""
-    if name is None:
-        name = os.environ.get(_ENV, "numba").lower()
-    if name == "numpy":
-        return _numpy_core
-    if name == "numba":
-        mod = _load_numba_instance()
-        if mod is None:
-            if _ENV in os.environ:  # explicit request must not degrade silently
-                raise RuntimeError(f"numba backend requested but unavailable: "
-                                   f"{_numba_error}")
-            return _numpy_core
-        return mod
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def backend_name() -> str:
-    return "numpy" if get_backend() is _numpy_core else "numba"
-
-
-def set_num_threads(n: int) -> None:
-    """Bound the numba thread pool (no effect on the numpy backend)."""
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        return
-    limit = numba.config.NUMBA_NUM_THREADS
-    numba.set_num_threads(min(max(1, int(n)), limit))
+    """Return the kernel module; ``None`` and ``"numpy"`` name the only one."""
+    if name is None or name == "numpy":
+        return core
+    raise ValueError(f"unknown backend {name!r}; the only one is 'numpy'")

@@ -1,9 +1,8 @@
-"""Backend-neutral hot kernels for the jump-martingale Monte Carlo.
+"""Ensemble kernels for the jump-martingale Monte Carlo.
 
-Everything in this module is written in the numba-compilable subset of
-numpy, with no Python objects, so the exact same source runs either jitted
-(the default) or as plain numpy (set LEVYMULT_BACKEND=numpy).  Both paths
-execute identical arithmetic on identical inputs.
+The evolve and projection kernels walk one path at a time over packed jump
+data (``counts``, ``offsets``, ``times``, ``aidx``); the Lévy-system sums
+evaluate their functional once over every jump of the ensemble.
 
 Positions are flat indices into the cyclic lattice; ``phase[k, x]`` holds
 e^{+2 pi i k.x / n}, so parabolic extensions become O(P) mode sums:
@@ -19,7 +18,6 @@ so the only stochastic error in any check is the Monte Carlo one.
 
 import numpy as np
 
-prange = range  # replaced by numba.prange in the jitted instance
 BIG_TIME = 1e300
 
 
@@ -152,48 +150,8 @@ def projection_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
     row += amp * np.conj(phase[:, flat])
 
 
-def levy_functional(fid, v, s, y_alias, z_phys, a, p1, p2):
-    """The shipped bounded test functionals F(v, y, y+z).
-
-    0: 1
-    1: indicator that the jump is atom number p1
-    2: jump coordinate z_j, j = p1 (1-based)
-    3: (v - s) * z_j
-    4: cos(2 pi y_j / p2) * z_j   (p2 = lattice period along j)
-    """
-    if fid == 0:
-        return 1.0
-    if fid == 1:
-        return 1.0 if a == int(p1) else 0.0
-    j = int(p1) - 1
-    if fid == 2:
-        return z_phys[j]
-    if fid == 3:
-        return (v - s) * z_phys[j]
-    return np.cos(2.0 * np.pi * y_alias[j] / p2) * z_phys[j]
-
-
-def levy_one(sizes, h, atom_steps, s, times, aidx, fid, p1, p2):
-    """sum over the path's jumps of F(S_i, X_{S_i-}, X_{S_i})."""
-    d = sizes.shape[0]
-    coords = np.zeros(d, np.int64)
-    total = 0.0
-    y_alias = np.empty(d, np.float64)
-    z_phys = np.empty(d, np.float64)
-    for jp in range(times.shape[0]):
-        a = aidx[jp]
-        for ax in range(d):
-            n = sizes[ax]
-            y_alias[ax] = ((coords[ax] + n // 2) % n - n // 2) * h
-            z_phys[ax] = atom_steps[a, ax] * h
-        total += levy_functional(fid, times[jp], s, y_alias, z_phys, a, p1, p2)
-        for ax in range(d):
-            coords[ax] = (coords[ax] + atom_steps[a, ax]) % sizes[ax]
-    return total
-
-
 # ---------------------------------------------------------------------------
-# ensemble drivers (the loops that parallelise)
+# ensemble drivers
 # ---------------------------------------------------------------------------
 
 def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
@@ -208,7 +166,7 @@ def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
     qv_g = np.zeros(n_paths, np.float64)
     viol = np.zeros(n_paths, np.int64)
     lemma = np.zeros(n_paths, np.float64)
-    for m in prange(n_paths):
+    for m in range(n_paths):
         lo, hi = offsets[m], offsets[m + 1]
         out = evolve_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
                          fvals, x0, s, u, times[lo:hi], aidx[lo:hi],
@@ -221,7 +179,7 @@ def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
                         s, u, counts, offsets, times, aidx):
     n_paths = counts.shape[0]
     rows = np.zeros((n_paths, psi.shape[0]), np.complex128)
-    for m in prange(n_paths):
+    for m in range(n_paths):
         lo, hi = offsets[m], offsets[m + 1]
         projection_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
                        s, u, times[lo:hi], aidx[lo:hi], rows[m])
@@ -230,10 +188,36 @@ def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
 
 def levy_ensemble(sizes, h, atom_steps, s, counts, offsets, times, aidx,
                   fid, p1, p2):
+    """Per-path sums over the jumps of F(S_i, X_{S_i-}, X_{S_i}).
+
+    The shipped bounded functionals F(v, y, y+z):
+
+    0: 1
+    1: indicator that the jump is atom number p1
+    2: jump coordinate z_j, j = p1 (1-based)
+    3: (v - s) * z_j
+    4: cos(2 pi y_j / p2) * z_j   (p2 = lattice period along j)
+    """
     n_paths = counts.shape[0]
-    sums = np.zeros(n_paths, np.float64)
-    for m in prange(n_paths):
-        lo, hi = offsets[m], offsets[m + 1]
-        sums[m] = levy_one(sizes, h, atom_steps, s, times[lo:hi],
-                           aidx[lo:hi], fid, p1, p2)
-    return sums
+    path = np.repeat(np.arange(n_paths), counts)
+    if fid == 0:
+        values = np.ones(times.shape[0])
+    elif fid == 1:
+        values = (aidx == int(p1)).astype(np.float64)
+    else:
+        j = int(p1) - 1
+        steps = atom_steps[aidx, j]
+        z = steps * h
+        if fid == 2:
+            values = z
+        elif fid == 3:
+            values = (times - s) * z
+        else:
+            # coordinate j before each jump: an exclusive cumsum of the
+            # steps, restarted at each path's first jump
+            before = np.cumsum(steps) - steps
+            n = sizes[j]
+            y = ((before - before[offsets[path]] + n // 2) % n - n // 2) * h
+            values = np.cos(2.0 * np.pi * y / p2) * z
+    # bincount adds in jump order, as a per-path loop would
+    return np.bincount(path, weights=values, minlength=n_paths)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _accel
 from .corpus import CorpusConfig, build_corpus
 from .exceptions import InvalidInputError
 from .grid import read_grid, write_grid
@@ -278,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=2024, help="master seed")
     ap.add_argument("--workers", type=int, default=0,
-                    help="worker threads for the Monte Carlo kernels "
-                         "(0 = library default; results are independent)")
+                    help="worker count, recorded in run_meta.json; it "
+                         "does not change any result")
     ap.add_argument("command", choices=["symbol", "apply", "normratio",
                                         "kernel", "verify"])
     return ap
@@ -291,8 +290,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.workers > 0:
-        _accel.set_num_threads(args.workers)
     handler = {"symbol": cmd_symbol, "apply": cmd_apply,
                "normratio": cmd_normratio, "kernel": cmd_kernel,
                "verify": cmd_verify}[args.command]

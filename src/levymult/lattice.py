@@ -134,9 +134,3 @@ class PeriodicLattice:
         if dt < 0:
             raise InvalidInputError("dt must be nonnegative")
         return self.ifft(self.fft(f) * np.exp(dt * self.psi))
-
-    def transition_array(self, t: float) -> np.ndarray:
-        """p_t on the torus as a flat array (spectral, exact)."""
-        if t < 0:
-            raise InvalidInputError("t must be nonnegative")
-        return self.ifft(np.exp(t * self.psi)).real

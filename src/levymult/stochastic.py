@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
+from ._accel import core
 from ._accel import rng as _rng
 from .exceptions import InvalidInputError
 from .grid import PStar
@@ -231,15 +231,13 @@ class EnsembleResult:
     p_su_f_x0: complex
 
 
-def evolve_ensemble(scn: Scenario, n_paths: int, seed: int,
-                    backend=None) -> EnsembleResult:
+def evolve_ensemble(scn: Scenario, n_paths: int, seed: int) -> EnsembleResult:
     lat = scn.lattice
-    kern = _accel.get_backend(backend)
     counts, offsets, times, aidx = sample_ensemble(lat, scn.window, n_paths, seed)
     s, u = scn.window
     cps = np.asarray(scn.checkpoints, dtype=float)
     fhat = lat.fft(scn.f)
-    out = kern.evolve_ensemble(
+    out = core.evolve_ensemble(
         np.asarray(lat.sizes, dtype=np.int64), lat.psi, fhat, lat.sphi,
         lat.phase, lat.atom_steps, lat.phi, scn.f.astype(complex),
         int(scn.x0), float(s), float(u), counts, offsets, times, aidx, cps)
@@ -273,13 +271,12 @@ class DriftRow:
         return abs(self.drift) / self.stderr if self.stderr > 0 else 0.0
 
 
-def martingale_property_check(scn: Scenario, n_paths: int, seed: int,
-                              backend=None):
+def martingale_property_check(scn: Scenario, n_paths: int, seed: int):
     """Drift rows E[F_{t2} - F_{t1}] and E[G_{t2} - G_{t1}] per checkpoint pair,
     plus rows comparing E[G_t] with P_{s,u}f(x0) (the tower identity)."""
     if len(scn.checkpoints) < 1:
         raise InvalidInputError("scenario needs checkpoints")
-    res = evolve_ensemble(scn, n_paths, seed, backend)
+    res = evolve_ensemble(scn, n_paths, seed)
     rows = []
     grid = list(res.checkpoints) + [scn.window[1]]
     f_all = np.column_stack([res.f_cp, res.f_u])
@@ -319,10 +316,10 @@ class MomentRow:
         return self.lhs <= self.rhs + 3.0 * math.hypot(self.lhs_se, self.rhs_se)
 
 
-def burkholder_bound_check(scn: Scenario, p_list, n_paths: int, seed: int,
-                           backend=None) -> list[MomentRow]:
+def burkholder_bound_check(scn: Scenario, p_list, n_paths: int,
+                           seed: int) -> list[MomentRow]:
     """E|F_u|^p against (p* - 1)^p E|G_u|^p, with Monte Carlo errors."""
-    res = evolve_ensemble(scn, n_paths, seed, backend)
+    res = evolve_ensemble(scn, n_paths, seed)
     rows = []
     for p in p_list:
         cp = PStar(p).bound ** p
@@ -332,14 +329,14 @@ def burkholder_bound_check(scn: Scenario, p_list, n_paths: int, seed: int,
     return rows
 
 
-def subordination_check(scn: Scenario, n_paths: int, seed: int, backend=None):
+def subordination_check(scn: Scenario, n_paths: int, seed: int):
     """Exact pathwise check: jumps of [G,G] dominate jumps of [F,F].
 
     Returns (violation count, max Lemma-residual, qv domination failures).
     The residual |F_t + P_{s,u}f(x0) - G_t| is the phi == 1 pathwise identity
     and is only meaningful for such scenarios.
     """
-    res = evolve_ensemble(scn, n_paths, seed, backend)
+    res = evolve_ensemble(scn, n_paths, seed)
     qv_fail = int((res.qv_f > res.qv_g + 1e-12).sum())
     return int(res.violations.sum()), float(res.lemma_residual.max()), qv_fail
 
@@ -348,68 +345,43 @@ def subordination_check(scn: Scenario, n_paths: int, seed: int, backend=None):
 # the jump-compensation (Levy system) identity
 # ---------------------------------------------------------------------------
 
-# fid, needs (p1, p2); rhs computed by deterministic quadrature
+# name -> (functional id of core.levy_ensemble, p1): p1 is the atom index
+# for id 1 and the 1-based axis j for ids 2-4
 LEVY_FUNCTIONALS = {
-    "ones": (0, 0.0, 0.0),
-    "jump_is_atom0": (1, 0.0, 0.0),
-    "jump_coord_1": (2, 1.0, 0.0),
-    "time_weighted_jump_1": (3, 1.0, 0.0),
-    "position_cos_jump_1": (4, 1.0, 0.0),  # p2 filled with the lattice period
+    "ones": (0, 0),
+    "jump_is_atom0": (1, 0),
+    "jump_coord_1": (2, 1),
+    "time_weighted_jump_1": (3, 1),
+    "position_cos_jump_1": (4, 1),
 }
 
 
-def _levy_functional_grid(lat: PeriodicLattice, fid: int, p1: float, p2: float,
-                          v: float, s: float) -> np.ndarray:
-    """F(v, y, y + z_a) on the whole lattice, shape (A, P)."""
-    P = lat.n_points
-    d = lat.d
-    coords = np.unravel_index(np.arange(P), lat.sizes)
-    alias = np.stack([((coords[a] + lat.sizes[a] // 2) % lat.sizes[a]
-                       - lat.sizes[a] // 2) * lat.h for a in range(d)])
-    A = len(lat.weights)
-    out = np.empty((A, P))
-    for a in range(A):
-        z = lat.atom_steps[a] * lat.h
-        if fid == 0:
-            out[a] = 1.0
-        elif fid == 1:
-            out[a] = 1.0 if a == int(p1) else 0.0
-        elif fid == 2:
-            out[a] = z[int(p1) - 1]
-        elif fid == 3:
-            out[a] = (v - s) * z[int(p1) - 1]
-        elif fid == 4:
-            j = int(p1) - 1
-            out[a] = np.cos(2 * np.pi * alias[j] / p2) * z[j]
-        else:
-            raise InvalidInputError(f"unknown functional id {fid}")
-    return out
+def _levy_compensator(lat: PeriodicLattice, fid: int, p1: int,
+                      span: float) -> float:
+    """Exact int_s^t sum_a w_a E F(v, X_{s,v-}, X_{s,v-} + z_a) dv, t - s = span.
 
-
-def _levy_rhs(lat: PeriodicLattice, fid: int, p1: float, p2: float,
-              s: float, t: float, tol: float = 1e-10) -> float:
-    """integral_s^t sum_a w_a E F(v, X_{s,v-}, X_{s,v-} + z_a) dv by
-    Gauss-Legendre panels doubled until stable."""
-    def integrand(v):
-        p = lat.transition_array(v - s)  # distribution of X_{s,v-}
-        grid = _levy_functional_grid(lat, fid, p1, p2, v, s)
-        return float((lat.weights[:, None] * grid * p[None, :]).sum())
-
-    panels = 4
-    prev = None
-    while panels <= 512:
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        total = 0.0
-        edges = np.linspace(s, t, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            total += half * sum(w * integrand(mid + half * x)
-                                for x, w in zip(nodes, weights))
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        panels *= 2
-    return prev
+    With m_j = sum_a w_a z_aj, the jump-coordinate functionals integrate
+    m_j and m_j (v - s); the cosine one integrates m_j E cos(theta X_j) =
+    m_j Re e^{(v-s) c_j}, where c_j = sum_a w_a (e^{i theta z_aj} - 1) at the
+    unit frequency theta = 2 pi / n_j of axis j (c_j = psi_j, the lattice
+    exponent, for a symmetric measure).
+    """
+    if fid == 0:
+        return lat.total_rate * span
+    if fid == 1:
+        return float(lat.weights[p1]) * span
+    j = p1 - 1
+    # fsum cancels mirrored atoms exactly, so m_j = 0 for symmetric measures
+    m = math.fsum(lat.weights * lat.atom_steps[:, j] * lat.h)
+    if fid == 2:
+        return m * span
+    if fid == 3:
+        return m * span ** 2 / 2.0
+    c = complex(lat.weights @ np.expm1(2j * np.pi * lat.atom_steps[:, j]
+                                       / lat.sizes[j]))
+    if c == 0.0:
+        return m * span
+    return m * float((np.expm1(span * c) / c).real)
 
 
 @dataclass
@@ -432,10 +404,9 @@ class LevySystemRow:
 
 
 def levy_system_check(lat: PeriodicLattice, window, n_paths: int, seed: int,
-                      functionals=None, backend=None) -> list[LevySystemRow]:
+                      functionals=None) -> list[LevySystemRow]:
     """Monte Carlo jump sums against the compensator integral, per functional."""
     s, t = window
-    kern = _accel.get_backend(backend)
     counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed)
     rows = []
     names = functionals if functionals is not None else list(LEVY_FUNCTIONALS)
@@ -444,14 +415,13 @@ def levy_system_check(lat: PeriodicLattice, window, n_paths: int, seed: int,
             raise InvalidInputError(
                 f"unknown functional {name!r}; the shipped library has "
                 f"{sorted(LEVY_FUNCTIONALS)} (all bounded on the lattice)")
-        fid, p1, p2 = LEVY_FUNCTIONALS[name]
-        if fid == 4:
-            p2 = lat.sizes[int(p1) - 1] * lat.h
-        sums = kern.levy_ensemble(np.asarray(lat.sizes, dtype=np.int64), lat.h,
+        fid, p1 = LEVY_FUNCTIONALS[name]
+        period = lat.sizes[p1 - 1] * lat.h if fid == 4 else 0.0
+        sums = core.levy_ensemble(np.asarray(lat.sizes, dtype=np.int64), lat.h,
                                   lat.atom_steps, float(s), counts, offsets,
-                                  times, aidx, fid, float(p1), float(p2))
+                                  times, aidx, fid, float(p1), float(period))
         mean, se = _mean_se(sums)
-        rhs = _levy_rhs(lat, fid, p1, p2, s, t)
+        rhs = _levy_compensator(lat, fid, p1, t - s)
         rows.append(LevySystemRow(name, float(mean), float(se), rhs))
     return rows
 
@@ -484,7 +454,6 @@ def finite_time_lattice_symbol(lat: PeriodicLattice, s: float) -> np.ndarray:
 
 def projection_identity_check(lat: PeriodicLattice, f, s: float,
                               n_paths: int, seed: int, n_curve=None,
-                              backend=None,
                               max_rate_window: float = 50.0) -> ProjectionResult:
     """Recover the finite-time multiplier from path functionals.
 
@@ -504,10 +473,9 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     if f.size != lat.n_points:
         raise InvalidInputError("boundary function size mismatch")
     u = 0.0
-    kern = _accel.get_backend(backend)
     counts, offsets, times, aidx = sample_ensemble(lat, (s, u), n_paths, seed)
     fhat = lat.fft(f)
-    rows = kern.projection_ensemble(
+    rows = core.projection_ensemble(
         np.asarray(lat.sizes, dtype=np.int64), lat.psi, fhat, lat.sphi,
         lat.phase, lat.atom_steps, lat.phi, float(s), float(u),
         counts, offsets, times, aidx)

@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import levymult as lm
+from levymult import _accel
 from levymult import scenarios as sc
 from levymult import stochastic as st
+from levymult._accel import core
 from levymult._accel import rng as prng
 from levymult.exceptions import InvalidInputError
 from levymult.lattice import PeriodicLattice
@@ -216,26 +224,123 @@ def test_quadratic_variation_monotone_dominance():
 # ensemble checks
 # ---------------------------------------------------------------------------
 
+ORACLE_SCENARIOS = ("two_scale_signs", "plane_axis_phi")
+
+
 def test_single_path_consistent_with_ensemble_kernel():
-    scn = sc.scenario_by_name("two_scale_signs")
-    res = st.evolve_ensemble(scn, 32, seed=31)
-    for idx in (0, 3, 17):
-        path = st.sample_path(scn.lattice, scn.window, seed=31, path_index=idx)
-        pair = st.evolve_martingales(scn.lattice, path, scn.x0, scn.f)
-        assert res.f_u[idx] == pytest.approx(pair.f_terminal, abs=1e-12)
-        assert res.g_u[idx] == pytest.approx(pair.g_terminal, abs=1e-12)
-        assert res.qv_f[idx] == pytest.approx(pair.qv_f[-1], abs=1e-12)
-        assert res.qv_g[idx] == pytest.approx(pair.qv_g[-1], abs=1e-12)
+    # every path of the ensemble kernel against the per-path oracle
+    for name in ORACLE_SCENARIOS:
+        scn = sc.scenario_by_name(name)
+        res = st.evolve_ensemble(scn, 32, seed=31)
+        for idx in range(32):
+            path = st.sample_path(scn.lattice, scn.window, seed=31,
+                                  path_index=idx)
+            pair = st.evolve_martingales(scn.lattice, path, scn.x0, scn.f)
+            assert res.f_u[idx] == pytest.approx(pair.f_terminal, abs=1e-12)
+            assert res.g_u[idx] == pytest.approx(pair.g_terminal, abs=1e-12)
+            assert res.qv_f[idx] == pytest.approx(pair.qv_f[-1], abs=1e-12)
+            assert res.qv_g[idx] == pytest.approx(pair.qv_g[-1], abs=1e-12)
+            assert res.violations[idx] == np.sum(
+                pair.qv_f_increments > pair.qv_g_increments)
+            lemma = np.abs(pair.f_values + pair.p_su_f_x0
+                           - pair.g_values).max()
+            assert res.lemma_residual[idx] == pytest.approx(lemma, abs=1e-12)
 
 
-def test_backend_parity():
-    scn = sc.scenario_by_name("two_scale_signs")
-    a = st.evolve_ensemble(scn, 500, seed=33, backend="numba")
-    b = st.evolve_ensemble(scn, 500, seed=33, backend="numpy")
-    assert np.allclose(a.f_u, b.f_u, atol=1e-13)
-    assert np.allclose(a.g_u, b.g_u, atol=1e-13)
-    assert np.array_equal(a.violations, b.violations)
-    assert np.allclose(a.f_cp, b.f_cp, atol=1e-13)
+def test_checkpoint_values_are_parabolic_extensions():
+    # G at a checkpoint t is P_{t,u} f at the path's position at t
+    for name in ORACLE_SCENARIOS:
+        scn = sc.scenario_by_name(name)
+        lat = scn.lattice
+        u = scn.window[1]
+        res = st.evolve_ensemble(scn, 32, seed=32)
+        start = np.array(np.unravel_index(scn.x0, lat.sizes))
+        for idx in range(32):
+            path = st.sample_path(lat, scn.window, seed=32, path_index=idx)
+            positions = path.positions()
+            for c, t in enumerate(scn.checkpoints):
+                jumped = np.searchsorted(path.times, t, side="right")
+                flat = lat.flat_index(start + positions[jumped])
+                want = lat.parabolic(scn.f, u - t)[flat]
+                assert res.g_cp[idx, c] == pytest.approx(want, abs=1e-12)
+
+
+def test_projection_rows_match_oracle():
+    # row m is the spectrum of H(w) = F_u(w - X_u), with F_u taken from the
+    # oracle started at every base point
+    for name in ORACLE_SCENARIOS:
+        scn = sc.scenario_by_name(name)
+        lat = scn.lattice
+        window = (scn.window[0] - scn.window[1], 0.0)
+        n = 4
+        counts, offsets, times, aidx = st.sample_ensemble(lat, window, n,
+                                                          seed=34)
+        rows = core.projection_ensemble(
+            np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
+            lat.sphi, lat.phase, lat.atom_steps, lat.phi, *window,
+            counts, offsets, times, aidx)
+        for m in range(n):
+            path = st.sample_path(lat, window, seed=34, path_index=m)
+            f_u = np.array([st.evolve_martingales(lat, path, x, scn.f)
+                            .f_terminal for x in range(lat.n_points)])
+            want = np.roll(f_u.reshape(lat.sizes), tuple(path.positions()[-1]),
+                           axis=tuple(range(lat.d))).ravel()
+            assert np.abs(lat.ifft(rows[m]) - want).max() < 1e-12
+
+
+def test_levy_sums_match_direct_sum():
+    for name in ORACLE_SCENARIOS:
+        scn = sc.scenario_by_name(name)
+        lat = scn.lattice
+        s = scn.window[0]
+        n = 32
+        counts, offsets, times, aidx = st.sample_ensemble(lat, scn.window, n,
+                                                          seed=35)
+        paths = [st.sample_path(lat, scn.window, seed=35, path_index=m)
+                 for m in range(n)]
+        for fid, p1 in st.LEVY_FUNCTIONALS.values():
+            j = p1 - 1
+            period = lat.sizes[j] * lat.h
+            sums = core.levy_ensemble(
+                np.asarray(lat.sizes, dtype=np.int64), lat.h, lat.atom_steps,
+                s, counts, offsets, times, aidx, fid, float(p1), period)
+            for m, path in enumerate(paths):
+                y = path.positions()[:-1, j] * lat.h  # before each jump
+                z = path.jumps[:, j] * lat.h
+                direct = [np.ones(path.n_jumps),
+                          (path.atom_indices == p1).astype(float),
+                          z, (path.times - s) * z,
+                          np.cos(2 * np.pi * y / period) * z][fid]
+                assert sums[m] == pytest.approx(direct.sum(), abs=1e-12)
+
+
+def test_get_backend_names_the_numpy_core():
+    assert _accel.get_backend() is core
+    assert _accel.get_backend("numpy") is core
+    with pytest.raises(ValueError):
+        _accel.get_backend("jit")
+
+
+def test_first_monte_carlo_call_releases_its_scenario():
+    # in a fresh interpreter, so that the check is the first Monte Carlo call
+    code = textwrap.dedent("""
+        import gc
+        import weakref
+
+        from levymult import scenarios, stochastic
+
+        scn = scenarios.scenario_by_name("two_scale_signs")
+        ref = weakref.ref(scn.lattice)
+        stochastic.subordination_check(scn, 8, 1)
+        del scn
+        gc.collect()
+        assert ref() is None, "the lattice outlived its scenario"
+    """)
+    src = Path(lm.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_martingale_drift_and_tower():
@@ -335,7 +440,7 @@ def test_levy_system_odd_functional_vanishes():
     lat = rich_lattice()
     rows = st.levy_system_check(lat, (0.0, 1.0), 20000, seed=49,
                                 functionals=["jump_coord_1"])
-    assert abs(rows[0].rhs) < 1e-9  # symmetry kills the mean jump
+    assert rows[0].rhs == 0.0  # symmetry kills the mean jump
 
 
 def test_levy_system_planar_lattice():
@@ -348,6 +453,17 @@ def test_levy_system_planar_lattice():
         assert r.passed, f"{r.name}: lhs={r.lhs} rhs={r.rhs} se={r.stderr}"
     ones = next(r for r in rows if r.name == "ones")
     assert ones.rhs == pytest.approx(3.0 * 0.8, abs=1e-9)
+
+
+def test_levy_system_asymmetric_measure():
+    # a drifting walk: every functional has a nonzero compensator, so the
+    # check sees the jump law and the position process, not only symmetry
+    lat = PeriodicLattice((8,), 1.0, np.array([[1], [-1]]),
+                          np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+    rows = st.levy_system_check(lat, (0.0, 1.0), 100000, seed=56)
+    for r in rows:
+        assert r.rhs != 0.0
+        assert r.passed, f"{r.name}: lhs={r.lhs} rhs={r.rhs} se={r.stderr}"
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +520,13 @@ def test_space_integrated_moment_bound():
     # sum_x E|F_u(x)|^p h <= (p*-1)^p ||f||_p^p: the projection rows hold
     # F_u(. - X_u) per path, and the lattice p-norm is shift invariant
     from levymult.grid import PStar
-    from levymult._accel import get_backend
 
     lat = walk_lattice()
     f = sc.bump_profile(32, 16.0, 2.5)
     n = 8000
     counts, offsets, times, aidx = st.sample_ensemble(lat, (-0.8, 0.0), n,
                                                       seed=81)
-    kern = get_backend(None)
-    rows = kern.projection_ensemble(
+    rows = core.projection_ensemble(
         np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(f), lat.sphi,
         lat.phase, lat.atom_steps, lat.phi, -0.8, 0.0,
         counts, offsets, times, aidx)
