@@ -58,6 +58,7 @@ from .stochastic import (
     PoissonPath,
     Scenario,
     burkholder_bound_check,
+    evolve_ensemble,
     evolve_martingales,
     l1_mass_check,
     levy_system_check,

@@ -43,12 +43,13 @@ def _point_eval(psi, fhat, phase, flat, u, v):
 
 
 def evolve_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
-               x0, s, u, times, aidx, checkpoints, f_cp, g_cp):
-    """Run one path; fill per-checkpoint rows, return terminal aggregates.
+               x0, s, u, pf0, times, aidx, checkpoints, f_cp, g_cp):
+    """Run one path from x0, where G_s = pf0 = P_{s,u}f(x0); fill the
+    per-checkpoint rows and return the terminal aggregates.
 
-    Returns (F_u, G_u, qv_f, qv_g, violations, lemma_residual, pf0) where
-    lemma_residual is max_t |F_t + P_{s,u}f(x0) - G_t| over jump times and u
-    (zero up to roundoff when phi == 1) and pf0 = P_{s,u}f(x0).
+    Returns (F_u, G_u, qv_f, qv_g, violations, lemma_residual) where
+    lemma_residual is max_t |F_t + pf0 - G_t| over jump times and u (zero up
+    to roundoff when phi == 1).
     """
     d = sizes.shape[0]
     n_modes = psi.shape[0]
@@ -65,7 +66,6 @@ def evolve_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
     qv_g = 0.0
     viol = 0
     lemma = 0.0
-    pf0 = _point_eval(psi, fhat, phase, x0, u, s)
     qv_g += pf0.real * pf0.real + pf0.imag * pf0.imag
 
     n_jumps = times.shape[0]
@@ -118,7 +118,7 @@ def evolve_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
     mag = np.sqrt(res.real * res.real + res.imag * res.imag)
     if mag > lemma:
         lemma = mag
-    return f_u, g_u, qv_f, qv_g, viol, lemma, pf0
+    return f_u, g_u, qv_f, qv_g, viol, lemma
 
 
 def projection_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
@@ -156,7 +156,9 @@ def projection_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
 
 def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
                     x0, s, u, counts, offsets, times, aidx, checkpoints):
+    """Per-path rows of every path, then pf0 = P_{s,u}f(x0), shared by all."""
     n_paths = counts.shape[0]
+    pf0 = _point_eval(psi, fhat, phase, x0, u, s)
     n_cp = checkpoints.shape[0]
     f_cp = np.zeros((n_paths, n_cp), np.complex128)
     g_cp = np.zeros((n_paths, n_cp), np.complex128)
@@ -168,11 +170,11 @@ def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
     lemma = np.zeros(n_paths, np.float64)
     for m in range(n_paths):
         lo, hi = offsets[m], offsets[m + 1]
-        out = evolve_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
-                         fvals, x0, s, u, times[lo:hi], aidx[lo:hi],
-                         checkpoints, f_cp[m], g_cp[m])
-        f_u[m], g_u[m], qv_f[m], qv_g[m], viol[m], lemma[m] = out[:6]
-    return f_cp, g_cp, f_u, g_u, qv_f, qv_g, viol, lemma
+        f_u[m], g_u[m], qv_f[m], qv_g[m], viol[m], lemma[m] = evolve_one(
+            sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals, x0,
+            s, u, pf0, times[lo:hi], aidx[lo:hi], checkpoints, f_cp[m],
+            g_cp[m])
+    return f_cp, g_cp, f_u, g_u, qv_f, qv_g, viol, lemma, pf0
 
 
 def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,

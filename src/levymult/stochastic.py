@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,7 +169,6 @@ def evolve_martingales(lat: PeriodicLattice, path: PoissonPath, x0: int,
         return ik * phase[:, flat]
 
     flat = int(x0)
-    coords = None
     pf0 = point(flat, s)
     comp_fourier = np.zeros(n_modes, dtype=complex)
     jsum = 0.0 + 0.0j
@@ -178,7 +178,6 @@ def evolve_martingales(lat: PeriodicLattice, path: PoissonPath, x0: int,
     times_out, g_out, f_out, qvg_out, qvf_out = [], [], [], [], []
     inc_g, inc_f = [], []
     steps = lat.atom_steps
-    d = steps.shape[1]
     coords = np.array(np.unravel_index(flat, lat.sizes), dtype=np.int64)
     for t, a in zip(path.times, path.atom_indices):
         comp_fourier += panel(v_prev, t, flat)
@@ -219,6 +218,7 @@ def evolve_martingales(lat: PeriodicLattice, path: PoissonPath, x0: int,
 @dataclass
 class EnsembleResult:
     n_paths: int
+    window: tuple
     checkpoints: np.ndarray
     f_cp: np.ndarray
     g_cp: np.ndarray
@@ -232,19 +232,17 @@ class EnsembleResult:
 
 
 def evolve_ensemble(scn: Scenario, n_paths: int, seed: int) -> EnsembleResult:
+    """The pair (F, G) along ``n_paths`` paths; the drift, moment and
+    subordination checks are reductions of this one ensemble."""
     lat = scn.lattice
     counts, offsets, times, aidx = sample_ensemble(lat, scn.window, n_paths, seed)
     s, u = scn.window
     cps = np.asarray(scn.checkpoints, dtype=float)
-    fhat = lat.fft(scn.f)
-    out = core.evolve_ensemble(
-        np.asarray(lat.sizes, dtype=np.int64), lat.psi, fhat, lat.sphi,
-        lat.phase, lat.atom_steps, lat.phi, scn.f.astype(complex),
+    *rows, pf0 = core.evolve_ensemble(
+        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
+        lat.sphi, lat.phase, lat.atom_steps, lat.phi, scn.f.astype(complex),
         int(scn.x0), float(s), float(u), counts, offsets, times, aidx, cps)
-    f_cp, g_cp, f_u, g_u, qv_f, qv_g, viol, lemma = out
-    pf0 = (fhat * np.exp((u - s) * lat.psi) * lat.phase[:, scn.x0]).sum() / lat.n_points
-    return EnsembleResult(n_paths, cps, f_cp, g_cp, f_u, g_u, qv_f, qv_g,
-                          viol, lemma, complex(pf0))
+    return EnsembleResult(n_paths, tuple(scn.window), cps, *rows, complex(pf0))
 
 
 def _mean_se(values):
@@ -270,31 +268,45 @@ class DriftRow:
     def sigmas(self) -> float:
         return abs(self.drift) / self.stderr if self.stderr > 0 else 0.0
 
+    @property
+    def passed(self) -> bool:
+        return self.sigmas <= 3.0 or abs(self.drift) < 1e-12
 
-def martingale_property_check(scn: Scenario, n_paths: int, seed: int):
-    """Drift rows E[F_{t2} - F_{t1}] and E[G_{t2} - G_{t1}] per checkpoint pair,
-    plus rows comparing E[G_t] with P_{s,u}f(x0) (the tower identity)."""
-    if len(scn.checkpoints) < 1:
-        raise InvalidInputError("scenario needs checkpoints")
-    res = evolve_ensemble(scn, n_paths, seed)
+
+class TowerRow(NamedTuple):
+    """E[G_t] against its deterministic value G_s = P_{s,u}f(x0)."""
+
+    t: float
+    mean: complex
+    stderr: float
+    target: complex
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.mean - self.target) <= 3 * self.stderr or \
+            abs(self.mean - self.target) < 1e-12
+
+
+def martingale_property_check(res: EnsembleResult):
+    """Drift rows E[F_{t2} - F_{t1}] and E[G_{t2} - G_{t1}] between consecutive
+    times of s, the checkpoints and u, plus tower rows comparing E[G_t] with
+    P_{s,u}f(x0)."""
+    s, u = res.window
+    grid = [s, *res.checkpoints, u]
+    # column 0 is time s: F_s == 0 and G_s = P_{s,u}f(x0) is deterministic
+    f_all = np.column_stack([np.zeros(res.n_paths), res.f_cp, res.f_u])
+    g_all = np.column_stack([np.full(res.n_paths, res.p_su_f_x0), res.g_cp,
+                             res.g_u])
     rows = []
-    grid = list(res.checkpoints) + [scn.window[1]]
-    f_all = np.column_stack([res.f_cp, res.f_u])
-    g_all = np.column_stack([res.g_cp, res.g_u])
-    start_f = np.zeros(n_paths, dtype=complex)  # F_s == 0
-    start_g = np.full(n_paths, res.p_su_f_x0)  # G_s is deterministic
-    f_seq = [start_f] + [f_all[:, i] for i in range(len(grid))]
-    g_seq = [start_g] + [g_all[:, i] for i in range(len(grid))]
-    tgrid = [scn.window[0]] + grid
-    for i in range(len(tgrid) - 1):
-        for name, seq in (("F", f_seq), ("G", g_seq)):
-            mean, se = _mean_se(seq[i + 1] - seq[i])
-            rows.append(DriftRow(tgrid[i], tgrid[i + 1], name, complex(mean),
+    for i in range(len(grid) - 1):
+        for name, values in (("F", f_all), ("G", g_all)):
+            mean, se = _mean_se(values[:, i + 1] - values[:, i])
+            rows.append(DriftRow(grid[i], grid[i + 1], name, complex(mean),
                                  float(se)))
     tower = []
-    for i, t in enumerate(grid):
-        mean, se = _mean_se(g_all[:, i])
-        tower.append((t, complex(mean), float(se), res.p_su_f_x0))
+    for t, g in zip(grid[1:], g_all[:, 1:].T):
+        mean, se = _mean_se(g)
+        tower.append(TowerRow(t, complex(mean), float(se), res.p_su_f_x0))
     return rows, tower
 
 
@@ -316,10 +328,8 @@ class MomentRow:
         return self.lhs <= self.rhs + 3.0 * math.hypot(self.lhs_se, self.rhs_se)
 
 
-def burkholder_bound_check(scn: Scenario, p_list, n_paths: int,
-                           seed: int) -> list[MomentRow]:
+def burkholder_bound_check(res: EnsembleResult, p_list) -> list[MomentRow]:
     """E|F_u|^p against (p* - 1)^p E|G_u|^p, with Monte Carlo errors."""
-    res = evolve_ensemble(scn, n_paths, seed)
     rows = []
     for p in p_list:
         cp = PStar(p).bound ** p
@@ -329,16 +339,24 @@ def burkholder_bound_check(scn: Scenario, p_list, n_paths: int,
     return rows
 
 
-def subordination_check(scn: Scenario, n_paths: int, seed: int):
-    """Exact pathwise check: jumps of [G,G] dominate jumps of [F,F].
+class SubordinationResult(NamedTuple):
+    """The residual max |F_t + P_{s,u}f(x0) - G_t| is the phi == 1 pathwise
+    identity, meaningful only for such scenarios, so it decides no pass."""
 
-    Returns (violation count, max Lemma-residual, qv domination failures).
-    The residual |F_t + P_{s,u}f(x0) - G_t| is the phi == 1 pathwise identity
-    and is only meaningful for such scenarios.
-    """
-    res = evolve_ensemble(scn, n_paths, seed)
+    violations: int
+    lemma_residual: float
+    qv_failures: int
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0 and self.qv_failures == 0
+
+
+def subordination_check(res: EnsembleResult) -> SubordinationResult:
+    """Exact pathwise check: jumps of [G,G] dominate jumps of [F,F]."""
     qv_fail = int((res.qv_f > res.qv_g + 1e-12).sum())
-    return int(res.violations.sum()), float(res.lemma_residual.max()), qv_fail
+    return SubordinationResult(int(res.violations.sum()),
+                               float(res.lemma_residual.max()), qv_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +455,12 @@ class ProjectionResult:
     l2_error: float
     stderr_norm: float
     spec_norm: float
-    mode_table: list  # (k, h_spec_k, h_mc_k, se_k)
     error_curve: list  # (n, l2 error) over nested prefixes
     grouped_curve: list  # (n, mean l2 error over disjoint n-path groups)
+
+    @property
+    def passed(self) -> bool:
+        return self.l2_error <= 5 * self.stderr_norm
 
 
 def finite_time_lattice_symbol(lat: PeriodicLattice, s: float) -> np.ndarray:
@@ -482,13 +503,9 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     h_spec = lat.ifft(finite_time_lattice_symbol(lat, s) * fhat)
     mean_rows = rows.mean(axis=0)
     var_rows = (rows.real.var(axis=0, ddof=1) + rows.imag.var(axis=0, ddof=1))
-    se_rows = np.sqrt(var_rows / n_paths)
     h_mc = lat.ifft(mean_rows)
     err = float(np.linalg.norm(h_mc - h_spec))
     stderr_norm = float(np.sqrt((var_rows / n_paths).sum() / lat.n_points))
-    table = [(int(k), complex(hs), complex(hm), float(se))
-             for k, (hs, hm, se) in enumerate(
-                 zip(finite_time_lattice_symbol(lat, s) * fhat, mean_rows, se_rows))]
     curve = []
     grouped = []
     if n_curve:
@@ -506,13 +523,22 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
                 for g in range(k)]
             grouped.append((int(n), float(np.sqrt(np.mean(sq)))))
     return ProjectionResult(h_mc, h_spec, err, stderr_norm,
-                            float(np.linalg.norm(h_spec)), table, curve,
-                            grouped)
+                            float(np.linalg.norm(h_spec)), curve, grouped)
 
 
 # ---------------------------------------------------------------------------
 # L1 mass of the dominating process
 # ---------------------------------------------------------------------------
+
+class L1MassResult(NamedTuple):
+    mc: float
+    stderr: float
+    closed_form: float
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.mc - self.closed_form) <= 3 * self.stderr
+
 
 def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     """Space-integrated mean of the dominating process |F|_t vs its closed form.
@@ -520,7 +546,7 @@ def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     The exact value is 4 (t-s) (sum_a w_a |phi_a|) ||f||_1, which reduces to
     4 (t-s) |nu| ||f||_1 when |phi| == 1.  The jump half of the estimator is
     the only random part: each jump contributes 2 ||f||_1 |phi(jump)|, the
-    compensator half is deterministic.  Returns (mc, stderr, closed_form).
+    compensator half is deterministic.
     """
     s, t = window
     f = np.asarray(f, dtype=complex).ravel()
@@ -534,7 +560,7 @@ def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     values = 2.0 * norm1 * (per_path + comp_part)
     mean, se = _mean_se(values)
     closed = 4.0 * (t - s) * modulated_rate * norm1
-    return float(mean), float(se), closed
+    return L1MassResult(float(mean), float(se), closed)
 
 
 def exchangeability_times(lat: PeriodicLattice, window, n_paths: int,
@@ -545,12 +571,10 @@ def exchangeability_times(lat: PeriodicLattice, window, n_paths: int,
     pooled sample should pass a uniformity test.
     """
     s, u = window
-    counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed)
+    counts, _, times, _ = sample_ensemble(lat, window, n_paths, seed)
     pos = counts[counts > 0]
     if len(pos) == 0:
         raise InvalidInputError("no jumps in the ensemble")
     modal = int(np.bincount(pos).argmax())
-    sel = np.zeros(len(times), dtype=bool)
-    for m in np.nonzero(counts == modal)[0]:
-        sel[offsets[m]:offsets[m + 1]] = True
+    sel = np.repeat(counts == modal, counts)
     return (times[sel] - s) / (u - s)

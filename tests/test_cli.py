@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import levymult as lm
+from levymult import stochastic as st
+from levymult._accel import core
 from levymult.cli import main
 from levymult.grid import GridFunction, read_grid, write_grid
 from levymult.kernel import kernel_closed_form
+from levymult.scenarios import scenario_by_name
 
 L = 2 * np.pi
 
@@ -182,6 +185,58 @@ def test_verify_reproducible_and_passing(tmp_path):
     doc = json.loads(r1)
     scn = doc["scenarios"]["walk_phi1"]
     assert scn["subordination"]["violations"] == 0
+
+
+def test_verify_evolves_once_per_scenario(tmp_path, monkeypatch):
+    paths = []
+    evolve = core.evolve_ensemble
+
+    def counted(*args):
+        paths.append(len(args[11]))
+        return evolve(*args)
+
+    monkeypatch.setattr(core, "evolve_ensemble", counted)
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1", "two_scale_half"], "n_paths": 300,
+        "seed": 3})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) in (0, 1)
+    assert paths == [300, 300]
+
+
+def _pair(z):
+    return [z.real, z.imag]
+
+
+def test_verify_sections_are_the_library_reductions(tmp_path):
+    names, n, seed = ["walk_phi1", "two_scale_signs"], 400, 8
+    p_list = [1.5, 3.0]
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": names, "n_paths": n, "seed": seed, "p_list": p_list})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) in (0, 1)
+    rep = json.loads((tmp_path / "o" / "verify.json").read_text())
+    for name in names:
+        res = st.evolve_ensemble(scenario_by_name(name), n, seed)
+        drift, tower = st.martingale_property_check(res)
+        sub = st.subordination_check(res)
+        want = {
+            "drift": [{"process": r.process, "t1": r.t1, "t2": r.t2,
+                       "drift": _pair(r.drift), "stderr": r.stderr,
+                       "sigmas": r.sigmas, "pass": r.passed} for r in drift],
+            "tower": [{"t": r.t, "mean": _pair(r.mean), "stderr": r.stderr,
+                       "target": _pair(r.target), "pass": r.passed}
+                      for r in tower],
+            "moment_bound": [{"p": r.p, "lhs": r.lhs, "lhs_se": r.lhs_se,
+                              "rhs": r.rhs, "rhs_se": r.rhs_se,
+                              "pass": r.passed}
+                             for r in st.burkholder_bound_check(res, p_list)],
+            "subordination": {"violations": sub.violations,
+                              "qv_failures": sub.qv_failures,
+                              "pass": sub.passed},
+        }
+        for section, rows in want.items():
+            assert rep["scenarios"][name][section] == rows, section
 
 
 def test_verify_unknown_scenario(tmp_path):

@@ -88,6 +88,13 @@ def test_exchangeability_uniform_order_statistics():
     lat = walk_lattice()
     tt = st.exchangeability_times(lat, (0.0, 1.0), 6000, seed=14)
     assert stats.kstest(tt, "uniform").pvalue > 0.01
+    # the pooled times are exactly those of the modal-count paths
+    counts, offsets, times, _ = st.sample_ensemble(lat, (0.0, 1.0), 6000,
+                                                   seed=14)
+    modal = np.bincount(counts[counts > 0]).argmax()
+    direct = np.concatenate([times[offsets[m]:offsets[m + 1]]
+                             for m in np.nonzero(counts == modal)[0]])
+    assert np.array_equal(tt, direct)
 
 
 def test_empty_measure_rejected():
@@ -331,7 +338,7 @@ def test_first_monte_carlo_call_releases_its_scenario():
 
         scn = scenarios.scenario_by_name("two_scale_signs")
         ref = weakref.ref(scn.lattice)
-        stochastic.subordination_check(scn, 8, 1)
+        stochastic.subordination_check(stochastic.evolve_ensemble(scn, 8, 1))
         del scn
         gc.collect()
         assert ref() is None, "the lattice outlived its scenario"
@@ -345,11 +352,21 @@ def test_first_monte_carlo_call_releases_its_scenario():
 
 def test_martingale_drift_and_tower():
     scn = sc.scenario_by_name("walk_phi1")
-    rows, tower = st.martingale_property_check(scn, 20000, seed=41)
+    rows, tower = st.martingale_property_check(
+        st.evolve_ensemble(scn, 20000, seed=41))
     for r in rows:
         assert r.sigmas <= 3.0
     for t, mean, se, target in tower:
         assert abs(mean - target) <= 3.0 * se
+
+
+def test_drift_and_tower_without_checkpoints():
+    scn = sc.scenario_by_name("walk_phi1")
+    bare = st.Scenario("bare", scn.lattice, scn.f, scn.x0, scn.window)
+    rows, tower = st.martingale_property_check(st.evolve_ensemble(bare, 500, 2))
+    assert [(r.t1, r.t2, r.process) for r in rows] == [
+        (*scn.window, "F"), (*scn.window, "G")]
+    assert [r.t for r in tower] == [scn.window[1]]
 
 
 def test_tower_target_against_transition_series_oracle():
@@ -371,7 +388,8 @@ def test_tower_target_against_transition_series_oracle():
 
 def test_subordination_exact_across_scenarios():
     for scn in sc.shipped_scenarios():
-        viol, lemma, qvfail = st.subordination_check(scn, 4000, seed=43)
+        viol, lemma, qvfail = st.subordination_check(
+            st.evolve_ensemble(scn, 4000, seed=43))
         assert viol == 0
         assert qvfail == 0
         if scn.name == "walk_phi1":
@@ -381,7 +399,8 @@ def test_subordination_exact_across_scenarios():
 def test_burkholder_bound():
     for name in ("walk_phi1", "two_scale_signs", "two_scale_half"):
         scn = sc.scenario_by_name(name)
-        rows = st.burkholder_bound_check(scn, [1.5, 2.0, 3.0], 20000, seed=44)
+        rows = st.burkholder_bound_check(
+            st.evolve_ensemble(scn, 20000, seed=44), [1.5, 2.0, 3.0])
         for r in rows:
             assert r.passed, f"{name} p={r.p}: {r.lhs} vs {r.rhs}"
 
@@ -398,6 +417,38 @@ def test_p2_isometry_chain():
     se = np.sqrt(sq.var(ddof=1) / n + res.qv_f.var(ddof=1) / n)
     assert abs(ef2 - eqf) <= 3 * se
     assert np.all(res.qv_f <= res.qv_g + 1e-12)
+
+
+def _projection(l2_error, stderr_norm):
+    return st.ProjectionResult(None, None, l2_error, stderr_norm, 1.0, [], [])
+
+
+@pytest.mark.parametrize("row, passed", [
+    # drift: within 3 sigma, or below 1e-12 whatever the stderr
+    (st.DriftRow(0.0, 0.5, "F", 1e-13 + 0j, 0.0), True),
+    (st.DriftRow(0.0, 0.5, "F", 1e-13 + 0j, 1e-20), True),
+    (st.DriftRow(0.0, 0.5, "G", 0.75 + 0j, 0.25), True),
+    (st.DriftRow(0.0, 0.5, "G", complex(np.nextafter(0.75, 1.0)), 0.25),
+     False),
+    # tower: exact agreement, then the 3-sigma edge
+    (st.TowerRow(0.5, 0.25 + 0.5j, 0.0, 0.25 + 0.5j), True),
+    (st.TowerRow(0.5, 1.75 + 0j, 0.25, 1.0 + 0j), True),
+    (st.TowerRow(0.5, complex(np.nextafter(1.75, 2.0)), 0.25, 1.0 + 0j),
+     False),
+    # subordination is exact; the lemma residual does not decide it
+    (st.SubordinationResult(0, 1.0, 0), True),
+    (st.SubordinationResult(1, 0.0, 0), False),
+    (st.SubordinationResult(0, 0.0, 1), False),
+    # l1 mass: 3 sigma either side of the closed form
+    (st.L1MassResult(16.75, 0.25, 16.0), True),
+    (st.L1MassResult(15.25, 0.25, 16.0), True),
+    (st.L1MassResult(float(np.nextafter(16.75, 17.0)), 0.25, 16.0), False),
+    # projection: l2 error up to 5 stderr
+    (_projection(5 * 0.1, 0.1), True),
+    (_projection(float(np.nextafter(5 * 0.1, 1.0)), 0.1), False),
+])
+def test_pass_rule_boundaries(row, passed):
+    assert row.passed is passed
 
 
 def test_projection_identity_planar_lattice():
