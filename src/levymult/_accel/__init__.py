@@ -1,11 +1,11 @@
 """The Monte Carlo kernels and their random streams.
 
-:mod:`.core` holds the ensemble kernels (plain numpy, one path at a time for
-the evolve and projection sums, vectorised over all jumps for the Lévy
-sums); :mod:`.rng` holds the counter-based per-path random streams.
-Ensemble statistics are reduced outside the kernels with numpy reductions
-whose order does not depend on any worker count, so every run of a config
-and seed gives the same output.
+:mod:`.core` holds the ensemble kernels (plain numpy: one vectorised walk
+gives every path's positions, the evolve and projection sums run over each
+path's time-ordered events in blocks of whole paths, and the Lévy sums over
+all jumps at once); :mod:`.rng` holds the counter-based per-path random
+streams.  Ensemble statistics are reduced outside the kernels in a fixed
+order, so every run of a config and seed gives the same output.
 """
 
 from __future__ import annotations

@@ -1,190 +1,195 @@
 """Ensemble kernels for the jump-martingale Monte Carlo.
 
-The evolve and projection kernels walk one path at a time over packed jump
-data (``counts``, ``offsets``, ``times``, ``aidx``); the Lévy-system sums
-evaluate their functional once over every jump of the ensemble.
+The kernels read the lattice positions of all paths from one vectorised
+walk.  The evolve and projection kernels merge each path's jumps,
+checkpoints and end time u into one time-ordered event list, and evaluate
+blocks of whole paths at once, with one decay e^{(u-t) psi} per event time t.
 
-Positions are flat indices into the cyclic lattice; ``phase[k, x]`` holds
-e^{+2 pi i k.x / n}, so parabolic extensions become O(P) mode sums:
+The DFT column of a point x is e^{+2 pi i k.x/n} = phase[(k.(N/n)).x mod N],
+read from the N = lcm(n) roots of unity in ``phase``, so parabolic
+extensions become O(P) mode sums:
 
-    P_{v,u} f (x)  =  (1/P) sum_k fhat_k e^{(u-v) psi_k} phase[k, x].
+    P_{t,u} f (x)  =  (1/P) sum_k fhat_k e^{(u-t) psi_k} e^{2 pi i k.x/n}.
 
-Compensator time integrals are exact per mode,
+Compensator time integrals between consecutive events t1 < t2 are exact per
+mode and reuse both events' decays,
 
-    int_{v1}^{v2} e^{(u-v) psi} dv = (e^{(u-v1) psi} - e^{(u-v2) psi}) / psi,
+    int_{t1}^{t2} e^{(u-v) psi} dv = (e^{(u-t1) psi} - e^{(u-t2) psi}) / psi,
 
 so the only stochastic error in any check is the Monte Carlo one.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-BIG_TIME = 1e300
+BLOCK = 1 << 16  # events x modes per block: bounds memory whatever n_paths is
 
 
-def _flat(coords, sizes):
-    idx = 0
-    for a in range(sizes.shape[0]):
-        idx = idx * sizes[a] + (coords[a] % sizes[a])
-    return idx
+def _walk(sizes, atom_steps, start, offsets, aidx):
+    """Lattice coordinates (J, d) after every jump, each path started at
+    ``start``: an integer cumsum of the steps, restarted at each path's
+    first jump."""
+    steps = atom_steps[aidx]
+    reached = np.cumsum(steps, axis=0)
+    first = np.repeat(offsets[:-1], np.diff(offsets))
+    return (start + reached - (reached - steps)[first]) % sizes
 
 
-def _panel_accumulate(comp_fourier, psi, phase, flat, u, v1, v2):
-    """comp_fourier += phase[:, flat] * integral_{v1}^{v2} e^{(u-v) psi} dv."""
+def _columns(sizes, phase, coords):
+    """DFT columns over the flat modes, one row per point of ``coords``.
+
+    The index (k.(N/n)).x mod N is summed axis by axis from d terms below N
+    each, so it reads d copies of the roots and needs no modulo over all P
+    modes."""
+    n_roots = phase.shape[0]
+    idx = np.zeros(coords.shape[:-1] + (1,), np.int64)
+    for a, n in enumerate(sizes):
+        step = (np.arange(n) * (n_roots // n) * coords[..., a, None]) % n_roots
+        idx = (idx[..., :, None] + step[..., None, :]).reshape(
+            coords.shape[:-1] + (-1,))
+    return np.tile(phase, len(sizes))[idx]
+
+
+class _Events(NamedTuple):
+    off: np.ndarray  # (n_paths + 1,) event offsets of the paths
+    path: np.ndarray
+    t: np.ndarray
+    t_prev: np.ndarray  # the path's previous event time, s for its first
+    kind: np.ndarray  # 0 jump, 1 + c checkpoint c, C + 1 the end time u
+    phi: np.ndarray  # the jump's modulator, 0 at the other events
+    before: np.ndarray  # (E, d) coordinates before and after the event
+    after: np.ndarray
+
+
+def _events(sizes, atom_steps, atom_phi, start, s, u, offsets, times, aidx,
+            checkpoints):
+    """Every path's jumps, checkpoints and end time u, in time order."""
+    n_paths = offsets.shape[0] - 1
+    tail = np.append(checkpoints, u)
+    ids = np.arange(n_paths)
+    path = np.concatenate([np.repeat(ids, np.diff(offsets)),
+                           np.repeat(ids, tail.shape[0])])
+    t = np.concatenate([times, np.tile(tail, n_paths)])
+    kind = np.concatenate([np.zeros(times.shape[0], np.int64),
+                           np.tile(np.arange(1, tail.shape[0] + 1), n_paths)])
+    phi = np.concatenate([atom_phi[aidx],
+                          np.zeros(n_paths * tail.shape[0], atom_phi.dtype)])
+    # time order within each path; a jump precedes a checkpoint at its time
+    order = np.lexsort((kind, t, path))
+    path, t, kind, phi = path[order], t[order], kind[order], phi[order]
+    off = offsets + np.arange(n_paths + 1) * tail.shape[0]
+    t_prev = np.roll(t, 1)
+    t_prev[off[:-1]] = s
+    # jumps stay in packed order, so a running count names the latest one;
+    # index -1 is the start, for events before the path's first jump
+    coords = np.vstack([_walk(sizes, atom_steps, start, offsets, aidx),
+                        start])
+    last = np.cumsum(kind == 0) - 1
+    first = offsets[path]
+    before = np.where(kind == 0, last - 1, last)
+    return _Events(off, path, t, t_prev, kind, phi,
+                   coords[np.where(before >= first, before, -1)],
+                   coords[np.where(last >= first, last, -1)])
+
+
+def _blocks(sizes, psi, phase, u, decay_s, ev):
+    """Per block of whole paths [p0, p1): its event slice, the decays
+    e^{(u-t) psi}, the compensator panels int_{t_prev}^{t} e^{(u-v) psi} dv
+    and the columns of the positions before and after each event."""
     safe = np.where(psi == 0.0, 1.0, psi)
-    ik = np.where(psi == 0.0, v2 - v1,
-                  (np.exp((u - v1) * psi) - np.exp((u - v2) * psi)) / safe)
-    comp_fourier += ik * phase[:, flat]
+    width = max(1, BLOCK // psi.shape[0])
+    n_paths = ev.off.shape[0] - 1
+    p0 = 0
+    while p0 < n_paths:
+        p1 = max(p0 + 1, int(np.searchsorted(ev.off, ev.off[p0] + width,
+                                             "right")) - 1)
+        sl = slice(ev.off[p0], ev.off[p1])
+        dec = np.exp((u - ev.t[sl, None]) * psi)
+        prev = np.vstack([decay_s, dec[:-1]])
+        prev[ev.off[p0:p1] - ev.off[p0]] = decay_s
+        panel = np.where(psi == 0.0, (ev.t[sl] - ev.t_prev[sl])[:, None],
+                         (prev - dec) / safe)
+        yield (p0, p1, sl, dec, panel,
+               _columns(sizes, phase, ev.before[sl]),
+               _columns(sizes, phase, ev.after[sl]))
+        p0 = p1
 
-
-def _point_eval(psi, fhat, phase, flat, u, v):
-    """P_{v,u} f at the flat lattice point (complex scalar)."""
-    vec = fhat * np.exp((u - v) * psi) * phase[:, flat]
-    return vec.sum() / psi.shape[0]
-
-
-def evolve_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
-               x0, s, u, pf0, times, aidx, checkpoints, f_cp, g_cp):
-    """Run one path from x0, where G_s = pf0 = P_{s,u}f(x0); fill the
-    per-checkpoint rows and return the terminal aggregates.
-
-    Returns (F_u, G_u, qv_f, qv_g, violations, lemma_residual) where
-    lemma_residual is max_t |F_t + pf0 - G_t| over jump times and u (zero up
-    to roundoff when phi == 1).
-    """
-    d = sizes.shape[0]
-    n_modes = psi.shape[0]
-    coords = np.empty(d, np.int64)
-    rem = x0
-    for a in range(d - 1, -1, -1):
-        coords[a] = rem % sizes[a]
-        rem //= sizes[a]
-    flat = x0
-
-    comp_fourier = np.zeros(n_modes, np.complex128)
-    jsum = 0.0 + 0.0j
-    qv_f = 0.0
-    qv_g = 0.0
-    viol = 0
-    lemma = 0.0
-    qv_g += pf0.real * pf0.real + pf0.imag * pf0.imag
-
-    n_jumps = times.shape[0]
-    n_cp = checkpoints.shape[0]
-    jp = 0
-    cp = 0
-    v_prev = s
-    while jp < n_jumps or cp < n_cp:
-        t_jump = times[jp] if jp < n_jumps else BIG_TIME
-        t_cp = checkpoints[cp] if cp < n_cp else BIG_TIME
-        if t_jump <= t_cp:
-            _panel_accumulate(comp_fourier, psi, phase, flat, u, v_prev, t_jump)
-            v_prev = t_jump
-            a = aidx[jp]
-            old_flat = flat
-            for ax in range(d):
-                coords[ax] = (coords[ax] + atom_steps[a, ax]) % sizes[ax]
-            flat = _flat(coords, sizes)
-            pf_new = _point_eval(psi, fhat, phase, flat, u, t_jump)
-            pf_old = _point_eval(psi, fhat, phase, old_flat, u, t_jump)
-            dg = pf_new - pf_old
-            df = atom_phi[a] * dg
-            jsum += df
-            ag = dg.real * dg.real + dg.imag * dg.imag
-            af = df.real * df.real + df.imag * df.imag
-            qv_g += ag
-            qv_f += af
-            if af > ag:
-                viol += 1
-            comp = (fhat * sphi * comp_fourier).sum() / n_modes
-            f_here = jsum - comp
-            g_here = pf_new
-            res = f_here + pf0 - g_here
-            mag = np.sqrt(res.real * res.real + res.imag * res.imag)
-            if mag > lemma:
-                lemma = mag
-            jp += 1
-        else:
-            _panel_accumulate(comp_fourier, psi, phase, flat, u, v_prev, t_cp)
-            v_prev = t_cp
-            comp = (fhat * sphi * comp_fourier).sum() / n_modes
-            f_cp[cp] = jsum - comp
-            g_cp[cp] = _point_eval(psi, fhat, phase, flat, u, t_cp)
-            cp += 1
-    _panel_accumulate(comp_fourier, psi, phase, flat, u, v_prev, u)
-    comp = (fhat * sphi * comp_fourier).sum() / n_modes
-    f_u = jsum - comp
-    g_u = fvals[flat]  # P_{u,u} f -- exact boundary value
-    res = f_u + pf0 - g_u
-    mag = np.sqrt(res.real * res.real + res.imag * res.imag)
-    if mag > lemma:
-        lemma = mag
-    return f_u, g_u, qv_f, qv_g, viol, lemma
-
-
-def projection_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
-                   s, u, times, aidx, row):
-    """Fourier row of H(w) = F_u(w - X_u) for one path started at the origin.
-
-    row_k = (jump part - compensator part)_k * conj(phase[k, X_u]).
-    """
-    d = sizes.shape[0]
-    n_modes = psi.shape[0]
-    coords = np.zeros(d, np.int64)
-    flat = 0
-    jump_f = np.zeros(n_modes, np.complex128)
-    comp_fourier = np.zeros(n_modes, np.complex128)
-    v_prev = s
-    for jp in range(times.shape[0]):
-        t = times[jp]
-        _panel_accumulate(comp_fourier, psi, phase, flat, u, v_prev, t)
-        v_prev = t
-        a = aidx[jp]
-        old_flat = flat
-        for ax in range(d):
-            coords[ax] = (coords[ax] + atom_steps[a, ax]) % sizes[ax]
-        flat = _flat(coords, sizes)
-        decay = np.exp((u - t) * psi)
-        jump_f += atom_phi[a] * fhat * decay * (phase[:, flat] - phase[:, old_flat])
-    _panel_accumulate(comp_fourier, psi, phase, flat, u, v_prev, u)
-    amp = jump_f - fhat * sphi * comp_fourier
-    row += amp * np.conj(phase[:, flat])
-
-
-# ---------------------------------------------------------------------------
-# ensemble drivers
-# ---------------------------------------------------------------------------
 
 def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
                     x0, s, u, counts, offsets, times, aidx, checkpoints):
-    """Per-path rows of every path, then pf0 = P_{s,u}f(x0), shared by all."""
-    n_paths = counts.shape[0]
-    pf0 = _point_eval(psi, fhat, phase, x0, u, s)
+    """The pair (F, G) along every path from x0.
+
+    Returns f_cp, g_cp (n_paths, C) at the checkpoints; per path F_u, G_u,
+    qv_f, qv_g, the number of jumps with |dF| > |dG| and lemma_residual =
+    max_t |F_t + pf0 - G_t| over jump times and u (zero up to roundoff when
+    phi == 1); and pf0 = G_s = P_{s,u}f(x0), shared by all paths.
+    """
+    n_modes = psi.shape[0]
     n_cp = checkpoints.shape[0]
+    start = np.array(np.unravel_index(x0, tuple(sizes)))
+    ev = _events(sizes, atom_steps, atom_phi, start, s, u, offsets, times,
+                 aidx, checkpoints)
+    decay_s = np.exp((u - s) * psi)
+    pf0 = (fhat * decay_s * _columns(sizes, phase, start)).sum() / n_modes
+    g_before = np.empty(ev.t.shape[0], np.complex128)
+    g_after = np.empty_like(g_before)
+    comp = np.empty_like(g_before)
+    for _, _, sl, dec, panel, col_before, col_after in _blocks(
+            sizes, psi, phase, u, decay_s, ev):
+        weighted = fhat * dec
+        g_before[sl] = np.einsum("ij,ij->i", weighted, col_before) / n_modes
+        g_after[sl] = np.einsum("ij,ij->i", weighted, col_after) / n_modes
+        comp[sl] = np.einsum("ij,ij->i", fhat * sphi * panel,
+                             col_before) / n_modes
+    # dG, and so dF, is exactly 0 off the jumps
+    dg = g_after - g_before
+    df = ev.phi * dg
+    ag = dg.real * dg.real + dg.imag * dg.imag
+    af = df.real * df.real + df.imag * df.imag
+    # F along each path: a cumsum per row, so no path's roundoff depends on
+    # the paths before it
+    n_paths = ev.off.shape[0] - 1
+    local = np.arange(ev.t.shape[0]) - ev.off[ev.path]
+    rows = np.zeros((n_paths, int(np.diff(ev.off).max(initial=0))),
+                    np.complex128)
+    rows[ev.path, local] = df - comp
+    f_ev = np.cumsum(rows, axis=1)[ev.path, local]
+    end = ev.kind == n_cp + 1
+    f_u = f_ev[end]
+    g_u = fvals[np.ravel_multi_index(ev.after[end].T, tuple(sizes))]
+    cp = (ev.kind > 0) & ~end
     f_cp = np.zeros((n_paths, n_cp), np.complex128)
-    g_cp = np.zeros((n_paths, n_cp), np.complex128)
-    f_u = np.zeros(n_paths, np.complex128)
-    g_u = np.zeros(n_paths, np.complex128)
-    qv_f = np.zeros(n_paths, np.float64)
-    qv_g = np.zeros(n_paths, np.float64)
-    viol = np.zeros(n_paths, np.int64)
-    lemma = np.zeros(n_paths, np.float64)
-    for m in range(n_paths):
-        lo, hi = offsets[m], offsets[m + 1]
-        f_u[m], g_u[m], qv_f[m], qv_g[m], viol[m], lemma[m] = evolve_one(
-            sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals, x0,
-            s, u, pf0, times[lo:hi], aidx[lo:hi], checkpoints, f_cp[m],
-            g_cp[m])
-    return f_cp, g_cp, f_u, g_u, qv_f, qv_g, viol, lemma, pf0
+    g_cp = np.zeros_like(f_cp)
+    f_cp[ev.path[cp], ev.kind[cp] - 1] = f_ev[cp]
+    g_cp[ev.path[cp], ev.kind[cp] - 1] = g_after[cp]
+    firsts = ev.off[:-1]
+    residual = np.where(ev.kind == 0, np.abs(f_ev + pf0 - g_after), 0.0)
+    lemma = np.maximum(np.maximum.reduceat(residual, firsts),
+                       np.abs(f_u + pf0 - g_u))
+    return (f_cp, g_cp, f_u, g_u, np.add.reduceat(af, firsts),
+            abs(pf0) ** 2 + np.add.reduceat(ag, firsts),
+            np.add.reduceat(af > ag, firsts), lemma, pf0)
 
 
 def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
                         s, u, counts, offsets, times, aidx):
-    n_paths = counts.shape[0]
-    rows = np.zeros((n_paths, psi.shape[0]), np.complex128)
-    for m in range(n_paths):
-        lo, hi = offsets[m], offsets[m + 1]
-        projection_one(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
-                       s, u, times[lo:hi], aidx[lo:hi], rows[m])
+    """Fourier rows of H(w) = F_u(w - X_u), one per path from the origin:
+
+    row_k = (jump part - compensator part)_k * e^{-2 pi i k.X_u/n}.
+    """
+    start = np.zeros(sizes.shape[0], np.int64)
+    ev = _events(sizes, atom_steps, atom_phi, start, s, u, offsets, times,
+                 aidx, np.empty(0))
+    rows = np.zeros((counts.shape[0], psi.shape[0]), np.complex128)
+    for p0, p1, sl, dec, panel, col_before, col_after in _blocks(
+            sizes, psi, phase, u, np.exp((u - s) * psi), ev):
+        amp = (ev.phi[sl, None] * dec * (col_after - col_before)
+               - sphi * panel * col_before)
+        firsts = ev.off[p0:p1 + 1] - ev.off[p0]
+        # each path's last event is u, so its column is that of X_u
+        rows[p0:p1] = (fhat * np.add.reduceat(amp, firsts[:-1])
+                       * np.conj(col_after[firsts[1:] - 1]))
     return rows
 
 
@@ -215,11 +220,11 @@ def levy_ensemble(sizes, h, atom_steps, s, counts, offsets, times, aidx,
         elif fid == 3:
             values = (times - s) * z
         else:
-            # coordinate j before each jump: an exclusive cumsum of the
-            # steps, restarted at each path's first jump
-            before = np.cumsum(steps) - steps
+            start = np.zeros(sizes.shape[0], np.int64)
+            before = _walk(sizes, atom_steps, start, offsets, aidx)[:, j] \
+                - steps
             n = sizes[j]
-            y = ((before - before[offsets[path]] + n // 2) % n - n // 2) * h
+            y = ((before + n // 2) % n - n // 2) * h
             values = np.cos(2.0 * np.pi * y / p2) * z
     # bincount adds in jump order, as a per-path loop would
     return np.bincount(path, weights=values, minlength=n_paths)

@@ -61,7 +61,7 @@ def _out_dir(args) -> Path:
 
 def _write_meta(out: Path, args, extra=None):
     meta = {"command": args.command, "config": str(args.config),
-            "seed": args.seed, "workers": args.workers,
+            "seed": args.seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     if extra:
         meta.update(extra)
@@ -270,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="JSON config path")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=2024, help="master seed")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="worker count, recorded in run_meta.json; it "
-                         "does not change any result")
     ap.add_argument("command", choices=["symbol", "apply", "normratio",
                                         "kernel", "verify"])
     return ap

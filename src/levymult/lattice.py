@@ -14,6 +14,7 @@ by term, with no truncation error at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +90,10 @@ class PeriodicLattice:
             sphi += w * ph * (np.exp(1j * angle) - 1.0)
         self.psi = psi.ravel()
         self.sphi = sphi.ravel()  # sum_a w_a phi_a (e^{i 2 pi k.z/n} - 1)
-        # full phase table: phase[k, x] = e^{+2 pi i k.x / n} on flat indices
-        blocks = []
-        for a, n in enumerate(sizes):
-            kk, xx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            blocks.append(np.exp(2j * np.pi * kk * xx / n))
-        table = blocks[0]
-        for b in blocks[1:]:
-            table = np.kron(table, b)
-        self.phase = np.ascontiguousarray(table)
+        # the N = lcm(sizes) roots of unity: the DFT column e^{2 pi i k.x/n}
+        # of a point x is phase[(k.(N/n)).x mod N], O(P) work per column
+        n_roots = math.lcm(*sizes)
+        self.phase = np.exp(2j * np.pi * np.arange(n_roots) / n_roots)
         self.cum_weights = np.cumsum(self.weights) / self.weights.sum()
 
     @property
@@ -112,16 +108,12 @@ class PeriodicLattice:
             idx = idx * n + (int(coords[a]) % n)
         return idx
 
-    def alias_coords(self, flat: int) -> np.ndarray:
-        """Signed alias coordinates (physical units) of a flat lattice index."""
-        out = np.empty(self.d)
-        rem = int(flat)
-        for a in range(self.d - 1, -1, -1):
-            n = self.sizes[a]
-            i = rem % n
-            rem //= n
-            out[a] = ((i + n // 2) % n - n // 2) * self.h
-        return out
+    def column(self, flat: int) -> np.ndarray:
+        """The DFT column e^{2 pi i k.x/n} of the point x over the flat k."""
+        x = np.unravel_index(int(flat), self.sizes)
+        k = np.indices(self.sizes).reshape(self.d, -1)
+        return np.exp(2j * np.pi * sum((k[a] * x[a] % n) / n
+                                       for a, n in enumerate(self.sizes)))
 
     def fft(self, f) -> np.ndarray:
         return np.fft.fftn(np.asarray(f, dtype=complex).reshape(self.sizes)).ravel()

@@ -156,17 +156,18 @@ def evolve_martingales(lat: PeriodicLattice, path: PoissonPath, x0: int,
     f = np.asarray(f, dtype=complex).ravel()
     s, u = path.window
     fhat = lat.fft(f)
-    psi, sphi, phase = lat.psi, lat.sphi, lat.phase
+    psi, sphi = lat.psi, lat.sphi
     n_modes = lat.n_points
 
     def point(flat, v):
-        return (fhat * np.exp((u - v) * psi) * phase[:, flat]).sum() / n_modes
+        return (fhat * np.exp((u - v) * psi)
+                * lat.column(flat)).sum() / n_modes
 
     def panel(v1, v2, flat):
         safe = np.where(psi == 0.0, 1.0, psi)
         ik = np.where(psi == 0.0, v2 - v1,
                       (np.exp((u - v1) * psi) - np.exp((u - v2) * psi)) / safe)
-        return ik * phase[:, flat]
+        return ik * lat.column(flat)
 
     flat = int(x0)
     pf0 = point(flat, s)
@@ -266,7 +267,9 @@ class DriftRow:
 
     @property
     def sigmas(self) -> float:
-        return abs(self.drift) / self.stderr if self.stderr > 0 else 0.0
+        if self.stderr == 0.0:
+            return 0.0 if self.drift == 0 else math.inf
+        return abs(self.drift) / self.stderr
 
     @property
     def passed(self) -> bool:

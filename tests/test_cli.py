@@ -9,7 +9,7 @@ from levymult._accel import core
 from levymult.cli import main
 from levymult.grid import GridFunction, read_grid, write_grid
 from levymult.kernel import kernel_closed_form
-from levymult.scenarios import scenario_by_name
+from levymult.scenarios import scenario_by_name, scenario_from_dict
 
 L = 2 * np.pi
 
@@ -278,15 +278,47 @@ def test_kernel_pv_mode_writes_grid(tmp_path):
     assert np.array_equal(g.samples, direct.samples)
 
 
-def test_verify_worker_count_invariance(tmp_path):
+def test_verify_rerun_byte_identical(tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "scenarios": ["two_scale_half"], "n_paths": 1500, "seed": 99})
-    assert main(["--config", cfg, "--out", str(tmp_path / "w1"),
-                 "--workers", "1", "verify"]) == 0
-    assert main(["--config", cfg, "--out", str(tmp_path / "w2"),
-                 "--workers", "2", "verify"]) == 0
-    assert (tmp_path / "w1" / "verify.json").read_bytes() == \
-        (tmp_path / "w2" / "verify.json").read_bytes()
+    assert main(["--config", cfg, "--out", str(tmp_path / "r1"),
+                 "verify"]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path / "r2"),
+                 "verify"]) == 0
+    assert (tmp_path / "r1" / "verify.json").read_bytes() == \
+        (tmp_path / "r2" / "verify.json").read_bytes()
+    meta = json.loads((tmp_path / "r1" / "run_meta.json").read_text())
+    assert "workers" not in meta
+
+
+def test_verify_128x128_lattice(tmp_path):
+    # 128^2 modes: a dense P x P phase table would need 4.3 GB
+    n, window = 128, (0.0, 0.5)
+    x = np.arange(n)
+    f = np.exp(-0.5 * (((x - 64.0) / 9.0) ** 2)[:, None]
+               - 0.5 * (((x - 60.0) / 7.0) ** 2)[None, :])
+    atoms = [{"z": z, "w": 1.0}
+             for z in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
+    doc = {"name": "plane128", "measure": {"kind": "discrete", "atoms": atoms},
+           "modulator": {"kind": "axis", "j": 1}, "sizes": [n, n],
+           "f": list(f.ravel()), "x0": 64 * n + 60, "window": list(window),
+           "checkpoints": [0.25]}
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": [doc], "n_paths": 64, "seed": 13})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) in (0, 1)
+    rep = json.loads((tmp_path / "o" / "verify.json").read_text())["scenarios"]
+    assert rep["plane128"]["subordination"]["violations"] == 0
+    # axis modulator: |phi| = 1 on the two first-axis atoms, 0 on the others
+    l1 = rep["plane128"]["l1_mass"]["closed_form"]
+    assert l1 == pytest.approx(4 * 0.5 * 2.0 * f.sum(), rel=1e-12)
+    scn = scenario_from_dict(doc)
+    res = st.evolve_ensemble(scn, 4, seed=13)
+    for idx in range(4):
+        path = st.sample_path(scn.lattice, window, seed=13, path_index=idx)
+        pair = st.evolve_martingales(scn.lattice, path, scn.x0, scn.f)
+        assert res.f_u[idx] == pytest.approx(pair.f_terminal, abs=1e-12)
+        assert res.g_u[idx] == pytest.approx(pair.g_terminal, abs=1e-12)
 
 
 def test_modulator_bound_rejected_at_parse(tmp_path):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ def gauss_legendre_compensator(lat, path, x0, f, t, nodes_per_unit=160):
     fhat = lat.fft(f)
 
     def pf(flat, v):
-        return (fhat * np.exp((u - v) * lat.psi) * lat.phase[:, flat]).sum() \
+        return (fhat * np.exp((u - v) * lat.psi) * lat.column(flat)).sum() \
             / lat.n_points
 
     events = [s] + [tt for tt in path.times if tt <= t] + [t]
@@ -169,9 +170,9 @@ def test_single_path_matches_gl_oracle():
         for t, a in zip(path.times, path.atom_indices):
             new = (pos + int(lat.atom_steps[a][0])) % lat.n_points
             pf_new = (fhat * np.exp((1.0 - t) * lat.psi)
-                      * lat.phase[:, new]).sum() / lat.n_points
+                      * lat.column(new)).sum() / lat.n_points
             pf_old = (fhat * np.exp((1.0 - t) * lat.psi)
-                      * lat.phase[:, pos]).sum() / lat.n_points
+                      * lat.column(pos)).sum() / lat.n_points
             jsum += lat.phi[a] * (pf_new - pf_old)
             pos = new
         assert pair.f_terminal == pytest.approx(jsum - comp, abs=5e-10)
@@ -231,13 +232,28 @@ def test_quadratic_variation_monotone_dominance():
 # ensemble checks
 # ---------------------------------------------------------------------------
 
-ORACLE_SCENARIOS = ("two_scale_signs", "plane_axis_phi")
+def skew_scenario():
+    """6 x 10 lattice (N = lcm = 30) with a (1, 2) atom and mixed phi."""
+    lat = PeriodicLattice((6, 10), 1.0,
+                          np.array([[1, 2], [-1, -2], [1, 0], [-1, 0],
+                                    [0, 1], [0, -1]]),
+                          np.array([0.75, 0.75, 1.0, 1.0, 0.5, 0.5]),
+                          np.array([1.0, 1.0, -0.5, -0.5, 0.5j, 0.5j]))
+    x, y = np.meshgrid(np.arange(6), np.arange(10), indexing="ij")
+    f = np.cos(2 * np.pi * x / 6) + np.sin(2 * np.pi * (x + 2 * y) / 10) \
+        + 0.3j * np.cos(2 * np.pi * y / 5)
+    return st.Scenario("skew_6x10", lat, f, 23, (0.0, 1.0),
+                       checkpoints=(0.3, 0.7))
+
+
+def oracle_scenarios():
+    return [sc.scenario_by_name("two_scale_signs"),
+            sc.scenario_by_name("plane_axis_phi"), skew_scenario()]
 
 
 def test_single_path_consistent_with_ensemble_kernel():
     # every path of the ensemble kernel against the per-path oracle
-    for name in ORACLE_SCENARIOS:
-        scn = sc.scenario_by_name(name)
+    for scn in oracle_scenarios():
         res = st.evolve_ensemble(scn, 32, seed=31)
         for idx in range(32):
             path = st.sample_path(scn.lattice, scn.window, seed=31,
@@ -255,11 +271,11 @@ def test_single_path_consistent_with_ensemble_kernel():
 
 
 def test_checkpoint_values_are_parabolic_extensions():
-    # G at a checkpoint t is P_{t,u} f at the path's position at t
-    for name in ORACLE_SCENARIOS:
-        scn = sc.scenario_by_name(name)
+    # G at a checkpoint t is P_{t,u} f at the path's position at t, and F_t
+    # is the oracle's terminal F on (s, t] with boundary function P_{t,u} f
+    for scn in oracle_scenarios():
         lat = scn.lattice
-        u = scn.window[1]
+        s, u = scn.window
         res = st.evolve_ensemble(scn, 32, seed=32)
         start = np.array(np.unravel_index(scn.x0, lat.sizes))
         for idx in range(32):
@@ -268,15 +284,22 @@ def test_checkpoint_values_are_parabolic_extensions():
             for c, t in enumerate(scn.checkpoints):
                 jumped = np.searchsorted(path.times, t, side="right")
                 flat = lat.flat_index(start + positions[jumped])
-                want = lat.parabolic(scn.f, u - t)[flat]
-                assert res.g_cp[idx, c] == pytest.approx(want, abs=1e-12)
+                f_t = lat.parabolic(scn.f, u - t)
+                assert res.g_cp[idx, c] == pytest.approx(f_t[flat],
+                                                         abs=1e-12)
+                head = st.PoissonPath((s, t), path.times[:jumped],
+                                      path.atom_indices[:jumped],
+                                      path.jumps[:jumped], path.seed,
+                                      path.path_index)
+                pair = st.evolve_martingales(lat, head, scn.x0, f_t)
+                assert res.f_cp[idx, c] == pytest.approx(pair.f_terminal,
+                                                         abs=1e-12)
 
 
 def test_projection_rows_match_oracle():
     # row m is the spectrum of H(w) = F_u(w - X_u), with F_u taken from the
     # oracle started at every base point
-    for name in ORACLE_SCENARIOS:
-        scn = sc.scenario_by_name(name)
+    for scn in oracle_scenarios():
         lat = scn.lattice
         window = (scn.window[0] - scn.window[1], 0.0)
         n = 4
@@ -296,8 +319,7 @@ def test_projection_rows_match_oracle():
 
 
 def test_levy_sums_match_direct_sum():
-    for name in ORACLE_SCENARIOS:
-        scn = sc.scenario_by_name(name)
+    for scn in oracle_scenarios():
         lat = scn.lattice
         s = scn.window[0]
         n = 32
@@ -319,6 +341,35 @@ def test_levy_sums_match_direct_sum():
                           z, (path.times - s) * z,
                           np.cos(2 * np.pi * y / period) * z][fid]
                 assert sums[m] == pytest.approx(direct.sum(), abs=1e-12)
+
+
+def test_column_is_the_dft_column():
+    # conj(fft(delta_x))_k = e^{2 pi i k.x/n}; the kernels gather the same
+    # columns from the N = lcm(sizes) = 30 roots of unity in lat.phase
+    lat = skew_scenario().lattice
+    assert lat.phase.shape == (30,)
+    coords = np.indices(lat.sizes).reshape(lat.d, -1).T
+    gathered = core._columns(np.asarray(lat.sizes), lat.phase, coords)
+    for x in range(lat.n_points):
+        delta = np.zeros(lat.n_points)
+        delta[x] = 1.0
+        want = np.conj(lat.fft(delta))
+        assert np.abs(lat.column(x) - want).max() < 1e-14
+        assert np.abs(gathered[x] - want).max() < 1e-14
+
+
+def test_lattice_tables_are_small():
+    # the dense P x P phase table took 268 MB at 64 x 64
+    tracemalloc.start()
+    try:
+        lat = PeriodicLattice((64, 64), 1.0,
+                              np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                              np.ones(4), np.array([1.0, 1.0, 0.0, 0.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lat.phase.shape == (64,)
 
 
 def test_get_backend_names_the_numpy_core():
@@ -446,6 +497,8 @@ def _projection(l2_error, stderr_norm):
     # projection: l2 error up to 5 stderr
     (_projection(5 * 0.1, 0.1), True),
     (_projection(float(np.nextafter(5 * 0.1, 1.0)), 0.1), False),
+    # drift: the same nonzero value on every path (stderr 0) fails
+    (st.DriftRow(0.0, 0.5, "F", 1.0 + 0j, 0.0), False),
 ])
 def test_pass_rule_boundaries(row, passed):
     assert row.passed is passed
