@@ -139,12 +139,12 @@ def cmd_normratio(args) -> int:
     corpus, ids = build_corpus(corpus_config)
     out = _out_dir(args)
     any_violation = False
+    symbols = [symbol_from_dict(spec) for spec in symbol_specs]
+    sweeps = norm_ratio_sweep(symbols, corpus, p_list, ids)
     with open(out / "normratio.csv", "w") as fh:
         fh.write("symbol_id,p,p_star_minus_1,max_ratio,argmax_corpus_id\n")
-        for i, spec in enumerate(symbol_specs):
-            sym = symbol_from_dict(spec)
+        for i, (spec, rows) in enumerate(zip(symbol_specs, sweeps)):
             sid = spec.get("id", f"{spec['kind']}#{i}")
-            rows = norm_ratio_sweep(sym, corpus, p_list, ids)
             for r in rows:
                 fh.write(f"{sid},{r.p!r},{r.bound!r},{r.max_ratio!r},"
                          f"{r.argmax_id}\n")

@@ -336,9 +336,13 @@ def stable_power_coefficient(alpha: float) -> float:
 def _inner_correction(b, alpha, eps, tol=1e-14, max_terms=120):
     """integral_0^eps (cos(b r) - 1) r**(-1-alpha) dr by its power series.
 
-    Vectorised over b; accurate for all b*eps (term growth is checked and the
-    series is alternating with factorial decay, so it converges for any
-    argument; max_terms covers b*eps up to ~60).
+    Vectorised over b.  The series is alternating with factorial decay, but
+    its terms first grow like e^{b eps} (to 2.5e8 at b*eps = 25, against a
+    sum of -38 for eps = alpha = 1), so in floats it is usable only below the
+    edge of 25 that ``_radial_integral`` enforces, where it converges within
+    45 terms; by b*eps = 60 the result is cancellation noise.  Raises
+    ConvergenceError, carrying the partial sums, if ``max_terms`` terms do
+    not converge.
     """
     b = np.asarray(b, dtype=float)
     a = b * eps
@@ -354,8 +358,10 @@ def _inner_correction(b, alpha, eps, tol=1e-14, max_terms=120):
         newly = np.abs(term) <= tol * np.maximum(np.abs(out), eps ** (-alpha) * 1e-30)
         converged |= newly & (m > max(2, int(np.max(a)) // 2))
         if np.all(converged):
-            break
-    return out
+            return out
+    raise ConvergenceError(
+        f"inner series did not converge in {max_terms} terms at "
+        f"b*eps = {np.max(a[~converged]):.6g}", estimate=out)
 
 
 def _radial_integral(b, alpha, eps, outer, tol=1e-10):
@@ -420,6 +426,26 @@ def _require_finite_xi(xi):
     return arr
 
 
+def _radial_columns(measure: TruncatedStableMeasure, pts, tol):
+    """The radial integral at |xi . theta_i| for each direction theta_i.
+
+    A direction that is the exact negation of an earlier one reuses that
+    direction's integral when their |xi . theta| columns are bit-identical,
+    so every value equals a per-direction evaluation.  Mirrors only within
+    ``_ATOM_TOL`` are integrated on their own.
+    """
+    dirs = measure.directions
+    proj = np.abs(pts @ dirs.T)
+    radial = []
+    for i in range(dirs.shape[0]):
+        mirror = next((j for j in range(i)
+                       if np.array_equal(dirs[i], -dirs[j])
+                       and np.array_equal(proj[:, i], proj[:, j])), None)
+        radial.append(radial[mirror] if mirror is not None else _radial_integral(
+            proj[:, i], measure.alpha, measure.epsilon, measure.outer_radius, tol))
+    return radial
+
+
 def char_exponent(measure, xi, tol: float = 1e-10):
     """psi(xi) = integral (cos(xi . z) - 1) nu(dz)  (real, <= 0).
 
@@ -437,11 +463,10 @@ def char_exponent(measure, xi, tol: float = 1e-10):
         proj = pts @ measure.locations.T  # (m, n)
         vals = (np.cos(proj) - 1.0) @ measure.weights
     elif isinstance(measure, TruncatedStableMeasure):
-        proj = np.abs(pts @ measure.directions.T)
+        radial = _radial_columns(measure, pts, tol)
         vals = np.zeros(pts.shape[0])
         for i in range(measure.directions.shape[0]):
-            vals += measure.angular_weights[i] * _radial_integral(
-                proj[:, i], measure.alpha, measure.epsilon, measure.outer_radius, tol)
+            vals += measure.angular_weights[i] * radial[i]
     else:
         raise UnsupportedMeasureError(f"unsupported measure type {type(measure)!r}")
     vals = np.minimum(vals, 0.0)  # clip the +0.0-level float noise at psi == 0
@@ -477,11 +502,10 @@ def modulated_exponent(measure, modulator: JumpModulator, xi, tol: float = 1e-10
         proj = pts @ measure.locations.T
         vals = (np.cos(proj) - 1.0) @ (measure.weights * phi)
     else:
-        proj = np.abs(pts @ measure.directions.T)
+        radial = _radial_columns(measure, pts, tol)
         vals = np.zeros(pts.shape[0], dtype=complex)
         for i in range(measure.directions.shape[0]):
-            vals += measure.angular_weights[i] * phi[i] * _radial_integral(
-                proj[:, i], measure.alpha, measure.epsilon, measure.outer_radius, tol)
+            vals += measure.angular_weights[i] * phi[i] * radial[i]
     return complex(vals[0]) if single else vals.reshape(xi.shape[:-1])
 
 

@@ -25,6 +25,13 @@ def symbol_on_grid(f: GridFunction, symbol: MultiplierSymbol) -> np.ndarray:
     return symbol.evaluate(-f.frequencies())
 
 
+def _check_dimension(symbol: MultiplierSymbol, f: GridFunction) -> None:
+    """Reject a symbol on a grid of another dimension (the constant fits any)."""
+    if not isinstance(symbol, ConstantSymbol) and symbol.dimension != f.d:
+        raise InvalidInputError(
+            f"symbol dimension {symbol.dimension} != grid dimension {f.d}")
+
+
 def apply_multiplier(f: GridFunction, symbol: MultiplierSymbol) -> GridFunction:
     """Forward FFT, multiply by the symbol at each grid frequency, inverse FFT.
 
@@ -34,9 +41,7 @@ def apply_multiplier(f: GridFunction, symbol: MultiplierSymbol) -> GridFunction:
     if isinstance(symbol, ConstantSymbol):
         # c * identity needs no transform; keeps the c == 1 case bitwise exact
         return f.with_samples(f.samples * symbol.value)
-    if symbol.dimension != f.d:
-        raise InvalidInputError(
-            f"symbol dimension {symbol.dimension} != grid dimension {f.d}")
+    _check_dimension(symbol, f)
     spec = np.fft.fftn(f.samples)
     out = np.fft.ifftn(spec * symbol_on_grid(f, symbol))
     return f.with_samples(out)
@@ -51,30 +56,49 @@ class SweepRow:
     violation: bool
 
 
-def norm_ratio_sweep(symbol: MultiplierSymbol, corpus, p_list,
-                     ids=None) -> list[SweepRow]:
-    """Max over the corpus of ||Mf||_p / ||f||_p for each p, against p* - 1.
+def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> list[list[SweepRow]]:
+    """Max over the corpus of ||Mf||_p / ||f||_p for each symbol and p.
 
+    Returns one row list per symbol, one row per p, each against p* - 1.
     The ratios are lower bounds on the operator norm; the check is one-sided
-    (a finite corpus can falsify the bound, never certify it).
+    (a finite corpus can falsify the bound, never certify it).  The corpus
+    shares one grid, so each member is transformed and normed once, and each
+    symbol is evaluated once; every ratio equals the one ``apply_multiplier``
+    and ``lp_norm`` give member by member.
     """
-    corpus = list(corpus)
+    symbols, corpus, p_list = list(symbols), list(corpus), list(p_list)
     if not corpus:
         raise InvalidInputError("corpus must be nonempty")
     if ids is None:
         ids = [f"f{i}" for i in range(len(corpus))]
-    transformed = [apply_multiplier(f, symbol) for f in corpus]
-    rows = []
-    for p in p_list:
-        bound = PStar(p).bound
-        best, best_id = -np.inf, ""
-        for f, g, fid in zip(corpus, transformed, ids):
-            nf = lp_norm(f, p)
-            if nf == 0.0:
-                raise InvalidInputError(f"corpus member {fid} has zero norm")
-            ratio = lp_norm(g, p) / nf
-            if ratio > best:
-                best, best_id = ratio, fid
-        rows.append(SweepRow(p, bound, best, best_id,
-                             best > bound * (1.0 + RATIO_SLACK)))
-    return rows
+    if len(ids) != len(corpus):
+        raise InvalidInputError("ids and corpus lengths differ")
+    grid = corpus[0]
+    if any(f.sizes != grid.sizes or f.period != grid.period for f in corpus):
+        raise InvalidInputError("corpus members must share one grid")
+    for symbol in symbols:
+        _check_dimension(symbol, grid)
+    bounds = [PStar(p).bound for p in p_list]
+    norms = []  # norms[member][k] = ||f||_{p_k}
+    for f, fid in zip(corpus, ids):
+        norms.append([lp_norm(f, p) for p in p_list])
+        if 0.0 in norms[-1]:
+            raise InvalidInputError(f"corpus member {fid} has zero norm")
+    spectra = [np.fft.fftn(f.samples) for f in corpus]
+    sweeps = []
+    for symbol in symbols:
+        constant = isinstance(symbol, ConstantSymbol)
+        values = None if constant else symbol_on_grid(grid, symbol)
+        ratios = []  # ratios[member][k], one transformed member at a time
+        for f, spec, nf in zip(corpus, spectra, norms):
+            g = f.with_samples(f.samples * symbol.value if constant
+                               else np.fft.ifftn(spec * values))
+            ratios.append([lp_norm(g, p) / n for p, n in zip(p_list, nf)])
+        rows = []
+        for k, (p, bound) in enumerate(zip(p_list, bounds)):
+            m = int(np.argmax([r[k] for r in ratios]))  # first maximum wins
+            best = ratios[m][k]
+            rows.append(SweepRow(p, bound, best, ids[m],
+                                 best > bound * (1.0 + RATIO_SLACK)))
+        sweeps.append(rows)
+    return sweeps

@@ -66,8 +66,9 @@ def test_criterion_01_norm_bound():
     p_list = [4 / 3, 1.5, 2.0, 3.0, 4.0]
     worst = 0.0
     worst_at = ""
-    for name, sym in symbols.items():
-        for row in norm_ratio_sweep(sym, corpus, p_list, ids):
+    sweeps = norm_ratio_sweep(list(symbols.values()), corpus, p_list, ids)
+    for name, rows in zip(symbols, sweeps):
+        for row in rows:
             assert not row.violation, \
                 f"{name} p={row.p}: ratio {row.max_ratio} > bound {row.bound}"
             assert row.max_ratio <= row.bound * (1 + 5e-3)

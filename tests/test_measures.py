@@ -169,6 +169,61 @@ def test_radial_series_and_quadrature_paths_agree():
         assert series == pytest.approx(quad, rel=1e-8, abs=1e-10)
 
 
+def _per_direction(measure, phi, xi):
+    """psi and psi_phi summed direction by direction, one radial integral
+    per direction, in the library's order of summation."""
+    from levymult.measures import _radial_integral
+
+    pts = xi.reshape(-1, measure.dimension)
+    proj = np.abs(pts @ measure.directions.T)
+    psi = np.zeros(pts.shape[0])
+    psi_phi = np.zeros(pts.shape[0], dtype=complex)
+    for i, w in enumerate(measure.angular_weights):
+        r = _radial_integral(proj[:, i], measure.alpha, measure.epsilon,
+                             measure.outer_radius, 1e-10)
+        psi += w * r
+        psi_phi += w * phi[i] * r
+    return np.minimum(psi, 0.0), psi_phi
+
+
+@pytest.mark.parametrize("offset, integrals", [(0.0, 2), (1e-13, 3)])
+def test_mirrored_directions_share_one_radial_integral(monkeypatch, offset,
+                                                       integrals):
+    # theta and -theta share |xi . theta|, so the integral is computed once;
+    # a mirror that is only within the atom tolerance is integrated apart
+    from levymult import measures
+
+    t = 0.3
+    dirs = np.array([[np.cos(t), np.sin(t)], [-np.cos(t), -np.sin(t) + offset],
+                     [0.0, 1.0], [0.0, -1.0]])
+    m = lm.TruncatedStableMeasure(1.3, 0.05, dirs, np.array([1.0, 1.0, 2.0, 2.0]))
+    mod = lm.JumpModulator.table({tuple(dirs[0]): 0.5, tuple(dirs[1]): 0.5,
+                                  (0.0, 1.0): -1.0, (0.0, -1.0): -1.0})
+    xi = np.stack(np.meshgrid(np.linspace(-40, 40, 9), np.linspace(-40, 40, 9),
+                              indexing="ij"), axis=-1)  # b*eps < 3: series path
+    psi_ref, psi_phi_ref = _per_direction(m, mod.validate_on(m), xi)
+    calls = []
+    radial = measures._radial_integral
+    monkeypatch.setattr(measures, "_radial_integral",
+                        lambda *a: calls.append(1) or radial(*a))
+    psi = lm.char_exponent(m, xi).ravel()
+    psi_phi = lm.modulated_exponent(m, mod, xi).ravel()
+    assert np.array_equal(psi, psi_ref)
+    assert np.array_equal(psi_phi, psi_phi_ref)
+    assert len(calls) == 2 * integrals
+
+
+def test_inner_series_raises_when_it_cannot_converge():
+    from levymult.exceptions import ConvergenceError
+    from levymult.measures import _inner_correction
+
+    # at b*eps = 25, the edge the radial integral enforces, it converges
+    assert np.isfinite(_inner_correction(np.array([25.0]), 1.0, 1.0)).all()
+    with pytest.raises(ConvergenceError) as exc:
+        _inner_correction(np.array([1.0, 200.0]), 1.0, 1.0)
+    assert exc.value.estimate.shape == (2,)
+
+
 def test_modulated_exponent_constant_reduces_to_psi():
     m = lm.DiscreteLevyMeasure.axes(2)
     mod = lm.JumpModulator.constant(0.5)

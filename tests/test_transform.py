@@ -255,15 +255,15 @@ def test_bump_l1_close_to_analytic():
 
 def test_sweep_bounds_and_determinism():
     corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=12, seed=3))
-    rows = norm_ratio_sweep(lm.Riesz2Symbol(1, 2), corpus,
-                            [4 / 3, 2.0, 4.0], ids)
+    rows, = norm_ratio_sweep([lm.Riesz2Symbol(1, 2)], corpus,
+                             [4 / 3, 2.0, 4.0], ids)
     assert [r.p for r in rows] == [4 / 3, 2.0, 4.0]
     assert rows[0].bound == pytest.approx(3.0, abs=1e-12)
     assert rows[2].bound == 3.0
     assert rows[1].max_ratio <= 1.0 + 1e-12  # Plancherel at p = 2
     assert not any(r.violation for r in rows)
-    rows2 = norm_ratio_sweep(lm.Riesz2Symbol(1, 2), corpus,
-                             [4 / 3, 2.0, 4.0], ids)
+    rows2, = norm_ratio_sweep([lm.Riesz2Symbol(1, 2)], corpus,
+                              [4 / 3, 2.0, 4.0], ids)
     assert [(r.max_ratio, r.argmax_id) for r in rows] == \
         [(r.max_ratio, r.argmax_id) for r in rows2]
 
@@ -272,13 +272,58 @@ def test_sweep_rejects_zero_norm_member():
     corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=3, seed=3))
     zero = corpus[0].with_samples(np.zeros_like(corpus[0].samples))
     with pytest.raises(InvalidInputError):
-        norm_ratio_sweep(lm.Riesz2Symbol(1, 2), corpus + [zero], [2.0],
+        norm_ratio_sweep([lm.Riesz2Symbol(1, 2)], corpus + [zero], [2.0],
                          ids + ["zero"])
 
 
 def test_sweep_empty_corpus():
     with pytest.raises(InvalidInputError):
-        norm_ratio_sweep(lm.Riesz2Symbol(1, 2), [], [2.0])
+        norm_ratio_sweep([lm.Riesz2Symbol(1, 2)], [], [2.0])
+
+
+def _reference_sweep(symbol, corpus, p_list, ids):
+    """(max ratio, argmax id) per p, member by member through
+    ``apply_multiplier`` and ``lp_norm``; the first maximum wins."""
+    transformed = [apply_multiplier(f, symbol) for f in corpus]
+    out = []
+    for p in p_list:
+        ratios = [lp_norm(g, p) / lp_norm(f, p)
+                  for f, g in zip(corpus, transformed)]
+        k = int(np.argmax(ratios))
+        out.append((ratios[k], ids[k]))
+    return out
+
+
+def test_sweep_equals_per_symbol_reference():
+    corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=10, seed=4))
+    stable = lm.TruncatedStableMeasure.axes(2, alpha=1.2, epsilon=0.1)
+    symbols = [lm.ConstantSymbol(1.0), lm.Riesz2Symbol(1, 2),
+               lm.GeneralSymbol(stable, lm.JumpModulator.per_axis([1.0, -1.0]))]
+    p_list = [4 / 3, 2.0, 4.0]
+    sweeps = norm_ratio_sweep(symbols, corpus, p_list, ids)
+    assert len(sweeps) == len(symbols)
+    for sym, rows in zip(symbols, sweeps):
+        assert [r.p for r in rows] == p_list
+        got = [(r.max_ratio, r.argmax_id) for r in rows]
+        assert got == _reference_sweep(sym, corpus, p_list, ids)
+    # the identity keeps its FFT-free path: every ratio is exactly 1
+    assert [r.max_ratio for r in sweeps[0]] == [1.0, 1.0, 1.0]
+
+
+def test_sweep_rejects_mixed_grids_and_bad_ids():
+    corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=3, seed=3))
+    small, _ = build_corpus(CorpusConfig(d=2, n=32, count=1, seed=3))
+    sym = [lm.Riesz2Symbol(1, 2)]
+    with pytest.raises(InvalidInputError):
+        norm_ratio_sweep(sym, corpus + small, [2.0], ids + ["small"])
+    wide = GridFunction(corpus[0].sizes, (L, 2 * L), corpus[0].samples)
+    with pytest.raises(InvalidInputError):
+        norm_ratio_sweep(sym, corpus + [wide], [2.0], ids + ["wide"])
+    with pytest.raises(InvalidInputError):
+        norm_ratio_sweep(sym, corpus, [2.0], ids[:2])
+    line, _ = build_corpus(CorpusConfig(d=1, n=64, count=2, seed=3))
+    with pytest.raises(InvalidInputError):
+        norm_ratio_sweep(sym, line, [2.0])
 
 
 def test_holder_pairing_bound():
