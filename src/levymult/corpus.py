@@ -39,32 +39,27 @@ def _family_counts(count):
     return counts
 
 
-def gaussian_bump(sizes, period, center, width, amp=1.0):
-    """Periodised Gaussian; integral amp * (sqrt(2 pi) width)^d for width << L."""
-    sizes = tuple(np.atleast_1d(sizes))
-    period = tuple(np.atleast_1d(period))
-    axes = [np.arange(n) * (L / n) for n, L in zip(sizes, period)]
+def _periodic_r2(sizes, period, center):
+    """Squared periodic distance from ``center`` at every grid point."""
+    period = np.atleast_1d(period)
+    axes = [np.arange(n) * (L / n) for n, L in zip(np.atleast_1d(sizes), period)]
     grids = np.meshgrid(*axes, indexing="ij")
     r2 = np.zeros(grids[0].shape)
     for g, c, L in zip(grids, np.atleast_1d(center), period):
         dx = np.remainder(g - c + L / 2, L) - L / 2
         r2 += dx * dx
-    return amp * np.exp(-r2 / (2 * width * width))
+    return r2
+
+
+def gaussian_bump(sizes, period, center, width, amp=1.0):
+    """Periodised Gaussian; integral amp * (sqrt(2 pi) width)^d for width << L."""
+    return amp * np.exp(-_periodic_r2(sizes, period, center) / (2 * width * width))
 
 
 def cosine_bump(sizes, period, center, width, amp=1.0):
     """Compact support: amp * cos^2(pi r / (2 w)) inside r < w, zero outside."""
-    sizes = tuple(np.atleast_1d(sizes))
-    period = tuple(np.atleast_1d(period))
-    axes = [np.arange(n) * (L / n) for n, L in zip(sizes, period)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    r2 = np.zeros(grids[0].shape)
-    for g, c, L in zip(grids, np.atleast_1d(center), period):
-        dx = np.remainder(g - c + L / 2, L) - L / 2
-        r2 += dx * dx
-    r = np.sqrt(r2)
-    out = np.where(r < width, amp * np.cos(np.pi * r / (2 * width)) ** 2, 0.0)
-    return out
+    r = np.sqrt(_periodic_r2(sizes, period, center))
+    return np.where(r < width, amp * np.cos(np.pi * r / (2 * width)) ** 2, 0.0)
 
 
 def build_corpus(config: CorpusConfig):
@@ -98,8 +93,7 @@ def build_corpus(config: CorpusConfig):
         center = rng.uniform(0, L, size=d)
         if d == 2 and i % 2 == 0:
             radius = rng.uniform(0.05, 0.2) * L
-            r2 = sum((np.remainder(g - c + L / 2, L) - L / 2) ** 2
-                     for g, c in zip(grids, center))
+            r2 = _periodic_r2(sizes, period, center)
             emit(f"disk{i}", (r2 < radius * radius).astype(float))
         else:
             half = rng.uniform(0.05, 0.25, size=d) * L

@@ -257,28 +257,20 @@ class JumpModulator:
         n, d = pts.shape
         if self.kind == "constant":
             return np.full(n, self.payload["value"], dtype=complex)
+        if self.kind in ("axis", "per_axis"):
+            # the coordinate axis each point lies on, -1 off the axes
+            off = np.abs(pts) > _ATOM_TOL
+            axis = np.where(off.sum(axis=1) == 1, off @ np.arange(d), -1)
         if self.kind == "axis":
             j = self.payload["j"] - 1
             if not 0 <= j < d:
                 raise InvalidInputError("axis index out of range")
-            on_axis = np.ones(n, dtype=bool)
-            for a in range(d):
-                if a != j:
-                    on_axis &= np.abs(pts[:, a]) <= _ATOM_TOL
-            on_axis &= np.abs(pts[:, j]) > _ATOM_TOL
-            return on_axis.astype(complex)
+            return (axis == j).astype(complex)
         if self.kind == "per_axis":
-            coeff = self.payload["coefficients"]
+            coeff = np.asarray(self.payload["coefficients"], dtype=complex)
             if len(coeff) != d:
                 raise InvalidInputError("per-axis coefficient count mismatch")
-            out = np.zeros(n, dtype=complex)
-            for a in range(d):
-                mask = np.abs(pts[:, a]) > _ATOM_TOL
-                for b in range(d):
-                    if b != a:
-                        mask &= np.abs(pts[:, b]) <= _ATOM_TOL
-                out[mask] = coeff[a]
-            return out
+            return np.append(coeff, 0)[axis]  # index -1 reads the 0
         if self.kind == "sign_pattern":
             signs = self.payload["signs"]
             if len(signs) != n:
@@ -419,14 +411,17 @@ def _radial_integral_quad(b: float, alpha: float, eps: float, outer: float,
     return val
 
 
-def _require_finite_xi(xi):
-    arr = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def _coords(xi, d):
+    """``xi`` as a float array whose last axis is a finite d-vector."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
         raise InvalidInputError("xi must have finite components")
-    return arr
+    if xi.ndim == 0 or xi.shape[-1] != d:
+        raise InvalidInputError(f"expected xi with last axis {d}, got {xi.shape}")
+    return xi
 
 
-def _radial_columns(measure: TruncatedStableMeasure, pts, tol):
+def _radial_columns(measure: TruncatedStableMeasure, pts):
     """The radial integral at |xi . theta_i| for each direction theta_i.
 
     A direction that is the exact negation of an earlier one reuses that
@@ -442,35 +437,43 @@ def _radial_columns(measure: TruncatedStableMeasure, pts, tol):
                        if np.array_equal(dirs[i], -dirs[j])
                        and np.array_equal(proj[:, i], proj[:, j])), None)
         radial.append(radial[mirror] if mirror is not None else _radial_integral(
-            proj[:, i], measure.alpha, measure.epsilon, measure.outer_radius, tol))
+            proj[:, i], measure.alpha, measure.epsilon, measure.outer_radius))
     return radial
 
 
-def char_exponent(measure, xi, tol: float = 1e-10):
+def _jump_integral(measure, coeff, xi):
+    """integral (cos(xi . z) - 1) c(z) nu(dz), shaped like xi's leading axes.
+
+    ``coeff`` is c: one value for every atom, or one value per atom of a
+    discrete measure or per direction of a truncated stable one.
+    """
+    xi = _coords(xi, measure.dimension)
+    pts = xi.reshape(-1, measure.dimension)
+    if isinstance(measure, DiscreteLevyMeasure):
+        vals = (np.cos(pts @ measure.locations.T) - 1.0) @ (measure.weights * coeff)
+    elif isinstance(measure, TruncatedStableMeasure):
+        w = measure.angular_weights * coeff
+        vals = np.zeros(pts.shape[0], dtype=w.dtype)
+        for i, radial in enumerate(_radial_columns(measure, pts)):
+            vals += w[i] * radial
+    else:
+        raise UnsupportedMeasureError(f"unsupported measure type {type(measure)!r}")
+    return vals.reshape(xi.shape[:-1])
+
+
+def char_exponent(measure, xi):
     """psi(xi) = integral (cos(xi . z) - 1) nu(dz)  (real, <= 0).
 
     ``xi`` may be a single d-vector or an array of shape (..., d); the result
     has the leading shape.  Discrete measures are summed exactly; truncated
     stable measures use the closed radial form with a series correction for
-    the truncation window (absolute accuracy well below ``tol``).
+    the truncation window, and adaptive quadrature, one call per point,
+    where |xi . theta| * epsilon (or * outer_radius) passes 25, the edge
+    beyond which the series is not float-safe.
     """
-    xi = _require_finite_xi(xi)
-    single = xi.ndim == 1
-    pts = xi.reshape(-1, measure.dimension if xi.ndim > 1 else xi.shape[-1])
-    if pts.shape[1] != measure.dimension:
-        raise InvalidInputError("xi dimension does not match the measure")
-    if isinstance(measure, DiscreteLevyMeasure):
-        proj = pts @ measure.locations.T  # (m, n)
-        vals = (np.cos(proj) - 1.0) @ measure.weights
-    elif isinstance(measure, TruncatedStableMeasure):
-        radial = _radial_columns(measure, pts, tol)
-        vals = np.zeros(pts.shape[0])
-        for i in range(measure.directions.shape[0]):
-            vals += measure.angular_weights[i] * radial[i]
-    else:
-        raise UnsupportedMeasureError(f"unsupported measure type {type(measure)!r}")
-    vals = np.minimum(vals, 0.0)  # clip the +0.0-level float noise at psi == 0
-    return float(vals[0]) if single else vals.reshape(xi.shape[:-1])
+    # clip the +0.0-level float noise at psi == 0
+    psi = np.minimum(_jump_integral(measure, 1.0, xi), 0.0)
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weights):
@@ -482,9 +485,9 @@ def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weigh
     """
     if not 0 < alpha < 2:
         raise InvalidInputError("alpha must lie in (0, 2)")
-    xi = _require_finite_xi(xi)
     dirs = _as_points(directions)
     w = np.asarray(angular_weights, dtype=float).ravel()
+    xi = _coords(xi, dirs.shape[1])
     single = xi.ndim == 1
     pts = xi.reshape(-1, dirs.shape[1])
     proj = np.abs(pts @ dirs.T) ** alpha
@@ -492,21 +495,10 @@ def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weigh
     return float(vals[0]) if single else vals.reshape(xi.shape[:-1])
 
 
-def modulated_exponent(measure, modulator: JumpModulator, xi, tol: float = 1e-10):
+def modulated_exponent(measure, modulator: JumpModulator, xi):
     """psi_phi(xi) = integral (cos(xi . z) - 1) phi(z) nu(dz)."""
-    xi = _require_finite_xi(xi)
-    phi = modulator.validate_on(measure)
-    single = xi.ndim == 1
-    pts = xi.reshape(-1, measure.dimension)
-    if isinstance(measure, DiscreteLevyMeasure):
-        proj = pts @ measure.locations.T
-        vals = (np.cos(proj) - 1.0) @ (measure.weights * phi)
-    else:
-        radial = _radial_columns(measure, pts, tol)
-        vals = np.zeros(pts.shape[0], dtype=complex)
-        for i in range(measure.directions.shape[0]):
-            vals += measure.angular_weights[i] * phi[i] * radial[i]
-    return complex(vals[0]) if single else vals.reshape(xi.shape[:-1])
+    psi_phi = _jump_integral(measure, modulator.validate_on(measure), xi)
+    return complex(psi_phi) if psi_phi.ndim == 0 else psi_phi
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +564,7 @@ class TransitionMeasure:
     def convolve(self, other: "TransitionMeasure") -> "TransitionMeasure":
         if abs(self.h - other.h) > 1e-12:
             raise InvalidInputError("lattice scale mismatch")
-        if self.dimension == 1:
-            arr = np.convolve(self.array, other.array)
-        else:
-            from scipy.signal import convolve2d
-
-            arr = convolve2d(self.array, other.array)
+        arr = _convolve(self.array, other.array)
         origin = tuple(a + b for a, b in zip(self.origin, other.origin))
         return TransitionMeasure(self.h, arr, origin, self.t + other.t,
                                  self.n_max + other.n_max,
@@ -589,6 +576,15 @@ class TransitionMeasure:
         grids = self.offsets()
         phase = sum(xi[a] * grids[a] * self.h for a in range(self.dimension))
         return complex((self.array * np.exp(1j * phase)).sum())
+
+
+def _convolve(a, b):
+    """Full discrete convolution of two 1-D or two 2-D arrays."""
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    from scipy.signal import convolve2d
+
+    return convolve2d(a, b)
 
 
 def transition_measure(measure: DiscreteLevyMeasure, t: float, tol: float = 1e-12,
@@ -633,19 +629,10 @@ def transition_measure(measure: DiscreteLevyMeasure, t: float, tol: float = 1e-1
 
     out = np.zeros(shape)
     out[origin] = weights[0]
-    current = None  # nu_tilde^{*n} confined to its natural support
-    cur_origin = np.zeros(d, dtype=int)
+    current, cur_origin = base, span  # nu_tilde^{*n} on its natural support
     for n in range(1, n_max + 1):
-        if current is None:
-            current = base
-            cur_origin = span.copy()
-        else:
-            if d == 1:
-                current = np.convolve(current, base)
-            else:
-                from scipy.signal import convolve2d
-
-                current = convolve2d(current, base)
+        if n > 1:
+            current = _convolve(current, base)
             cur_origin = cur_origin + span
         sl = tuple(slice(o - co, o - co + s) for o, co, s in
                    zip(origin, cur_origin, current.shape))

@@ -23,6 +23,7 @@ from .exceptions import InvalidInputError, SingularPointError
 from .measures import (
     JumpModulator,
     TruncatedStableMeasure,
+    _coords,
     char_exponent,
     measure_from_dict,
     measure_to_dict,
@@ -50,15 +51,6 @@ __all__ = [
 ]
 
 ZERO_DENOM_REL = 1e-13  # |psi| below this times the mass scale counts as zero
-
-
-def _coords(xi, d):
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise InvalidInputError("xi must have finite components")
-    if xi.shape[-1] != d:
-        raise InvalidInputError(f"expected xi with last axis {d}, got {xi.shape}")
-    return xi
 
 
 class MultiplierSymbol:
@@ -92,11 +84,10 @@ class ConstantSymbol(MultiplierSymbol):
 class GeneralSymbol(MultiplierSymbol):
     """M(xi) = psi_phi(xi) / psi(xi), zero where the denominator vanishes."""
 
-    def __init__(self, measure, modulator: JumpModulator, tol: float = 1e-10):
+    def __init__(self, measure, modulator: JumpModulator):
         self.measure = measure
         self.modulator = modulator
-        self.tol = tol
-        self._phi = modulator.validate_on(measure)  # rejects asymmetric phi
+        modulator.validate_on(measure)  # rejects asymmetric phi
         self.dimension = measure.dimension
         self._zero_thresh = ZERO_DENOM_REL * measure.exponent_scale
         pts = measure.directions if isinstance(measure, TruncatedStableMeasure) \
@@ -107,34 +98,33 @@ class GeneralSymbol(MultiplierSymbol):
                           "subspace); the exponent vanishes off that subspace",
                           stacklevel=2)
 
-    def evaluate(self, xi):
+    def _psi_and_ratio(self, xi):
+        """(psi(xi), M(xi)) from one evaluation of each exponent."""
         xi = _coords(xi, self.dimension)
-        den = char_exponent(self.measure, xi, self.tol)
-        num = modulated_exponent(self.measure, self.modulator, xi, self.tol)
-        den = np.asarray(den, dtype=float)
-        num = np.asarray(num, dtype=complex)
+        den = np.asarray(char_exponent(self.measure, xi), dtype=float)
+        num = np.asarray(modulated_exponent(self.measure, self.modulator, xi),
+                         dtype=complex)
         out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
         nz = np.abs(den) > self._zero_thresh
         out[nz] = num[nz] / den[nz]
-        return out
+        return den, out
+
+    def evaluate(self, xi):
+        return self._psi_and_ratio(xi)[1]
 
 
-class FiniteTimeSymbol(MultiplierSymbol):
+class FiniteTimeSymbol(GeneralSymbol):
     """m_s(xi) = (1 - e^{2|s| psi(xi)}) * M(xi) for a window depth s < 0."""
 
-    def __init__(self, measure, modulator: JumpModulator, s: float,
-                 tol: float = 1e-10):
+    def __init__(self, measure, modulator: JumpModulator, s: float):
         if not s < 0:
             raise InvalidInputError("s must be negative")
         self.s = float(s)
-        self.general = GeneralSymbol(measure, modulator, tol)
-        self.dimension = self.general.dimension
+        super().__init__(measure, modulator)
 
     def evaluate(self, xi):
-        xi = _coords(xi, self.dimension)
-        den = np.asarray(char_exponent(self.general.measure, xi), dtype=float)
-        damp = 1.0 - np.exp(2.0 * abs(self.s) * den)
-        return damp * self.general.evaluate(xi)
+        psi, ratio = self._psi_and_ratio(xi)
+        return (1.0 - np.exp(2.0 * abs(self.s) * psi)) * ratio
 
 
 @dataclass(frozen=True)
@@ -322,8 +312,8 @@ def symbol_to_dict(sym: MultiplierSymbol) -> dict:
                 "d": sym.dimension}
     if isinstance(sym, FiniteTimeSymbol):
         return {"kind": "finite_time", "s": sym.s,
-                "measure": measure_to_dict(sym.general.measure),
-                "modulator": modulator_to_dict(sym.general.modulator)}
+                "measure": measure_to_dict(sym.measure),
+                "modulator": modulator_to_dict(sym.modulator)}
     if isinstance(sym, GeneralSymbol):
         return {"kind": "general", "measure": measure_to_dict(sym.measure),
                 "modulator": modulator_to_dict(sym.modulator)}

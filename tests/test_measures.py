@@ -77,6 +77,21 @@ def test_char_exponent_rejects_nonfinite():
         lm.char_exponent(m, np.array([np.inf]))
 
 
+@pytest.mark.parametrize("xi", [[1.0, 2.0, 3.0, 4.0], np.ones((3, 4)), 0.5])
+def test_wrong_dimension_xi_rejected(xi):
+    # a 4-vector against 2-D atoms must not reshape into two frequencies
+    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    mod = lm.JumpModulator.axis_indicator(1)
+    for m in (lm.DiscreteLevyMeasure.axes(2),
+              lm.TruncatedStableMeasure.axes(2, 1.0, 0.1)):
+        with pytest.raises(InvalidInputError):
+            lm.char_exponent(m, xi)
+        with pytest.raises(InvalidInputError):
+            lm.modulated_exponent(m, mod, xi)
+    with pytest.raises(InvalidInputError):
+        lm.char_exponent_stable_closed_form(1.0, xi, axes, np.ones(4))
+
+
 def quad_radial(b, alpha):
     """Independent oracle: integral_0^inf (cos(b r) - 1) r^(-1-alpha) dr."""
     split = 2 * np.pi / b

@@ -101,6 +101,27 @@ def test_finite_time_magnitude_monotone_in_window_depth():
         prev = vals
 
 
+@pytest.mark.parametrize("measure", [
+    lm.TruncatedStableMeasure.axes(2, 1.0, 1.0),  # quadrature where |xi_j| > 25
+    lm.DiscreteLevyMeasure.axes(2)], ids=["stable", "discrete"])
+def test_finite_time_damps_general_with_one_psi(monkeypatch, measure):
+    from levymult import symbols
+
+    mod = lm.JumpModulator.per_axis([1.0, -0.5])
+    s = -0.3
+    xi = np.stack(np.meshgrid(np.linspace(-30, 30, 7), np.linspace(-30, 30, 7),
+                              indexing="ij"), axis=-1)
+    expected = ((1.0 - np.exp(2.0 * abs(s) * lm.char_exponent(measure, xi)))
+                * lm.GeneralSymbol(measure, mod).evaluate(xi))
+    calls = []
+    psi = symbols.char_exponent
+    monkeypatch.setattr(symbols, "char_exponent",
+                        lambda *a: calls.append(1) or psi(*a))
+    vals = lm.FiniteTimeSymbol(measure, mod, s).evaluate(xi)
+    assert len(calls) == 1
+    assert np.array_equal(vals, expected)
+
+
 def test_degenerate_support_warns():
     m = lm.DiscreteLevyMeasure.from_atoms(
         [([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)])  # spans only the first axis
