@@ -41,11 +41,15 @@ def _family_counts(count):
 
 def _periodic_r2(sizes, period, center):
     """Squared periodic distance from ``center`` at every grid point."""
-    period = np.atleast_1d(period)
-    axes = [np.arange(n) * (L / n) for n, L in zip(np.atleast_1d(sizes), period)]
+    sizes, period, center = (np.atleast_1d(v) for v in (sizes, period, center))
+    if not len(sizes) == len(period) == len(center):
+        raise InvalidInputError(
+            f"sizes, period and center differ in length: "
+            f"{len(sizes)}, {len(period)}, {len(center)}")
+    axes = [np.arange(n) * (L / n) for n, L in zip(sizes, period)]
     grids = np.meshgrid(*axes, indexing="ij")
     r2 = np.zeros(grids[0].shape)
-    for g, c, L in zip(grids, np.atleast_1d(center), period):
+    for g, c, L in zip(grids, center, period):
         dx = np.remainder(g - c + L / 2, L) - L / 2
         r2 += dx * dx
     return r2

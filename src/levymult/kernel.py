@@ -46,6 +46,9 @@ PI2 = math.pi ** 2
 _G_TERMS = 26
 _Q_SERIES = 0.5
 
+# most points per kernel_closed_form call in kernel_weight_table
+_EVAL_BLOCK = 1 << 16
+
 
 def cauchy_density(t: float, x) -> np.ndarray | float:
     """p_t(x) = t / (pi (t^2 + x^2)), the 1-stable transition density."""
@@ -79,7 +82,8 @@ def _g_of_q(q):
     q2 = qs * qs
     acc = np.full_like(qs, 1.0 / (2 * _G_TERMS + 1))
     for m in range(_G_TERMS - 1, 0, -1):
-        acc = acc * q2 + 1.0 / (2 * m + 1)
+        acc *= q2
+        acc += 1.0 / (2 * m + 1)
     out[small] = acc * qs
     qb = q[~small]
     out[~small] = (np.arctanh(qb) - qb) / (qb * qb)
@@ -98,13 +102,11 @@ def kernel_closed_form(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast(x, y).shape
-    x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
     x2, y2 = x * x, y * y
     s = x2 + y2
     if np.any(s == 0):
         raise SingularPointError("K is singular at the origin")
-    if np.any(x2 == 0) or np.any(y2 == 0):
+    if s.size and (np.any(x2 == 0) or np.any(y2 == 0)):
         raise SingularPointError("K is log-singular on the coordinate axes")
     q = (x2 - y2) / s
     out = _g_of_q(q) / (PI2 * s)
@@ -202,31 +204,67 @@ def kernel_weight_table(sizes, period, rho: float, images: int | None = None,
     """Midpoint-sampled, periodised kernel weights with the cutoff ball removed.
 
     Entry (i, j) holds cellarea * sum_images K(offset + m L), the cyclic
-    convolution weights of the p.v. sum; offsets inside |y| <= rho are zeroed
+    convolution weights of the p.v. sum, with the images (m1, m2) added in
+    lexicographic order starting from 0; offsets inside |y| <= rho are zeroed
     (symmetric exclusion).  ``images`` grows with resolution by default so the
     periodisation tail refines together with the mesh.
+
+    Each kernel value is evaluated once, and the table equals the plain loop
+    over images bit for bit.  K depends on x^2 and y^2 only, and the offsets
+    fftfreq(n, 1/n) h are sign-symmetric under round-to-nearest: the offset
+    of image -m at index (n - i) mod n is exactly minus that of image m at
+    index i, also after ``_axis_safe``.  So row n - i adds the same values as
+    row i in reversed m1 order, and column n - j those of column j in
+    reversed m2 order.  K is therefore sampled on rows 0..n1//2 and columns
+    0..n2//2 only, in blocks of at most ``_EVAL_BLOCK`` points, and four
+    sequential sums in the orders (m1, m2), (-m1, m2), (m1, -m2) and
+    (-m1, -m2) fill the four quadrants.  For even n the offset -n/2 h has no
+    mirror; its row (column) is sampled directly, like row 0.
     """
     if orientation not in (1, 2):
         raise InvalidInputError("orientation must be 1 or 2")
+    if len(sizes) != 2 or len(period) != 2:
+        raise InvalidInputError("kernel_weight_table needs 2-d sizes and period")
+    if not rho >= 0:
+        raise InvalidInputError("cutoff radius must be nonnegative")
     n1, n2 = sizes
     L1, L2 = period
     h1, h2 = L1 / n1, L2 / n2
     if images is None:
         images = _auto_images(max(n1, n2))
+    if images < 0:
+        raise InvalidInputError("images must be nonnegative")
     off1 = np.fft.fftfreq(n1, d=1.0 / n1) * h1
     off2 = np.fft.fftfreq(n2, d=1.0 / n2) * h2
-    X, Y = np.meshgrid(off1, off2, indexing="ij")
-    W = np.zeros((n1, n2))
-    for m1 in range(-images, images + 1):
-        for m2 in range(-images, images + 1):
-            XX = _axis_safe(X + m1 * L1, h1)
-            YY = _axis_safe(Y + m2 * L2, h2)
-            if orientation == 1:
-                W += kernel_closed_form(XX, YY)
-            else:
-                W += kernel_closed_form(YY, XX)
-    W *= h1 * h2
-    W[X * X + Y * Y <= rho * rho] = 0.0
+    # image offsets at the sampled indices 0..n//2, one row per image
+    m = np.arange(-images, images + 1)
+    X = _axis_safe(off1[: n1 // 2 + 1] + (m * L1)[:, None], h1)
+    Y = _axis_safe(off2[: n2 // 2 + 1] + (m * L2)[:, None], h2)
+    A, H1, H2 = len(m), X.shape[1], Y.shape[1]
+    cols = max(1, min(H2, _EVAL_BLOCK // A))
+    rows = max(1, _EVAL_BLOCK // (A * cols))
+    Q = np.zeros((4, H1, H2))
+    for r in range(0, H1, rows):
+        for c in range(0, H2, cols):
+            x, y = X[:, r:r + rows, None], Y[:, None, c:c + cols]
+            V = np.empty((A, A, x.shape[1], y.shape[2]))
+            for a in range(A):
+                V[a] = (kernel_closed_form(x[a], y) if orientation == 1
+                        else kernel_closed_form(y, x[a]))
+            acc = Q[:, r:r + rows, c:c + cols]
+            for a in range(A):
+                for b in range(A):
+                    acc[0] += V[a, b]
+                    acc[1] += V[-1 - a, b]
+                    acc[2] += V[a, -1 - b]
+                    acc[3] += V[-1 - a, -1 - b]
+    Q *= h1 * h2
+    # an index past n//2 reads the mirrored quadrant at n - index
+    i1, i2 = np.arange(n1), np.arange(n2)
+    flip1, flip2 = i1 > n1 // 2, i2 > n2 // 2
+    W = Q[flip1[:, None] + 2 * flip2,
+          np.minimum(i1, n1 - i1)[:, None], np.minimum(i2, n2 - i2)]
+    W[np.add.outer(off1 * off1, off2 * off2) <= rho * rho] = 0.0
     return W
 
 

@@ -487,6 +487,12 @@ def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weigh
         raise InvalidInputError("alpha must lie in (0, 2)")
     dirs = _as_points(directions)
     w = np.asarray(angular_weights, dtype=float).ravel()
+    if dirs.shape[0] != w.shape[0]:
+        raise InvalidInputError("directions and weights length mismatch")
+    if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(w))):
+        raise InvalidInputError("directions and weights must be finite")
+    if np.any(w < 0):
+        raise InvalidInputError("angular weights must be nonnegative")
     xi = _coords(xi, dirs.shape[1])
     single = xi.ndim == 1
     pts = xi.reshape(-1, dirs.shape[1])

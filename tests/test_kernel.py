@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import integrate
 import levymult as lm
 from levymult.exceptions import InvalidInputError, SingularPointError
 from levymult.grid import GridFunction
+from levymult import kernel as kmod
 from levymult.kernel import annular_integral, kernel_weight_table
 from levymult.multiplier import apply_multiplier
 
@@ -143,6 +145,27 @@ def test_singular_points_raise():
         lm.kernel_numeric(0.0, 0.0)
 
 
+def test_closed_form_broadcast_matches_meshgrid():
+    x = np.linspace(-3.0, 2.9, 37) + 0.013
+    y = np.linspace(-1.7, 4.1, 23) - 0.007
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    full = lm.kernel_closed_form(X, Y)
+    assert lm.kernel_closed_form(x[:, None], y[None, :]).tobytes() == full.tobytes()
+    assert lm.kernel_closed_form(x[:, None], Y).tobytes() == full.tobytes()
+    assert isinstance(lm.kernel_closed_form(1.0, 2.0), float)
+
+
+def test_singular_points_raise_when_broadcast():
+    with pytest.raises(SingularPointError, match="origin"):
+        lm.kernel_closed_form(np.zeros((3, 1)), np.array([[0.0, 1.0]]))
+    with pytest.raises(SingularPointError, match="axes"):
+        lm.kernel_closed_form(np.array([[0.0], [1.0]]), np.ones((1, 4)))
+    with pytest.raises(SingularPointError, match="axes"):
+        lm.kernel_closed_form(np.ones(4), 0.0)
+    with pytest.raises(SingularPointError, match="axes"):
+        lm.kernel_closed_form(0.0, np.ones(4))
+
+
 def test_numeric_unreachable_tolerance_carries_estimate():
     from levymult.exceptions import ConvergenceError
 
@@ -257,6 +280,104 @@ def test_pv_swapped_table_is_negated():
     W2 = kernel_weight_table((32, 32), (L, L), 2 * L / 32, images=1,
                              orientation=2)
     assert np.abs(W1 + W2).max() < 1e-16
+
+
+def reference_weight_table(sizes, period, rho, images, orientation):
+    """The plain loop over images on the full meshgrid: the bitwise oracle."""
+    n1, n2 = sizes
+    L1, L2 = period
+    h1, h2 = L1 / n1, L2 / n2
+    X, Y = np.meshgrid(np.fft.fftfreq(n1, d=1.0 / n1) * h1,
+                       np.fft.fftfreq(n2, d=1.0 / n2) * h2, indexing="ij")
+    W = np.zeros((n1, n2))
+    for m1 in range(-images, images + 1):
+        for m2 in range(-images, images + 1):
+            XX, YY = X + m1 * L1, Y + m2 * L2
+            XX = np.where(XX == 0.0, h1 / (2.0 * math.e), XX)
+            YY = np.where(YY == 0.0, h2 / (2.0 * math.e), YY)
+            if orientation == 1:
+                W += lm.kernel_closed_form(XX, YY)
+            else:
+                W += lm.kernel_closed_form(YY, XX)
+    W *= h1 * h2
+    W[X * X + Y * Y <= rho * rho] = 0.0
+    return W
+
+
+TABLE_CASES = (
+    [(sizes, (L, L), 2.5 * L / max(sizes), images)
+     for sizes in ((64, 64), (63, 65), (96, 128)) for images in range(4)]
+    + [((96, 128), (3.0, 5.0), 0.2, 2), ((63, 65), (3.0, 5.0), 0.4, 3),
+       ((5, 2), (1.0, 1.0), 0.0, 1), ((1, 1), (1.0, 1.0), 0.0, 2)])
+
+
+@pytest.mark.parametrize("orientation", [1, 2])
+@pytest.mark.parametrize("sizes, period, rho, images", TABLE_CASES)
+def test_weight_table_bitwise_equals_image_loop(sizes, period, rho, images,
+                                                orientation):
+    W = kernel_weight_table(sizes, period, rho, images, orientation)
+    ref = reference_weight_table(sizes, period, rho, images, orientation)
+    assert W.tobytes() == ref.tobytes()
+
+
+def test_weight_table_rho_removes_cells():
+    # the cutoff in the oracle cases removes the 21 cells within 2.5 h
+    W = kernel_weight_table((64, 64), (L, L), 2.5 * L / 64, 2)
+    k = np.fft.fftfreq(64, d=1.0 / 64)
+    inside = np.add.outer(k * k, k * k) <= 6.25
+    assert inside.sum() == 21
+    assert np.all(W[inside] == 0.0)
+    assert W[3, 0] != 0.0 and W[0, -3] != 0.0
+
+
+def test_weight_table_evaluates_each_image_value_once(monkeypatch):
+    seen = []
+    inner = kmod.kernel_closed_form
+
+    def counting(x, y):
+        out = inner(x, y)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(kmod, "kernel_closed_form", counting)
+    for sizes, images in (((64, 64), 3), ((63, 65), 2), ((96, 128), 1)):
+        seen.clear()
+        kernel_weight_table(sizes, (L, L), 0.3, images)
+        n1, n2 = sizes
+        assert sum(seen) == (2 * images + 1) ** 2 * (n1 // 2 + 1) * (n2 // 2 + 1)
+    seen.clear()
+    kernel_weight_table((512, 512), (L, L), 2 * L / 512)
+    assert sum(seen) == 169 * 257 * 257
+    assert max(seen) <= kmod._EVAL_BLOCK
+
+
+def test_weight_table_small_blocks_keep_bits(monkeypatch):
+    # blocks narrower than a half row split the columns as well
+    ref = reference_weight_table((63, 65), (3.0, 5.0), 0.4, 2, 1)
+    monkeypatch.setattr(kmod, "_EVAL_BLOCK", 70)
+    W = kernel_weight_table((63, 65), (3.0, 5.0), 0.4, 2)
+    assert W.tobytes() == ref.tobytes()
+
+
+def test_weight_table_peak_memory():
+    tracemalloc.start()
+    try:
+        kernel_weight_table((512, 512), (L, L), 2 * L / 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("change", [
+    {"images": -1}, {"sizes": (8, 8, 8)}, {"period": (L, L, L)},
+    {"rho": -0.5}, {"rho": math.nan}, {"orientation": 3}])
+def test_weight_table_rejects_bad_inputs(change):
+    args = {"sizes": (8, 8), "period": (L, L), "rho": 0.5, "images": 1,
+            "orientation": 1}
+    args.update(change)
+    with pytest.raises(InvalidInputError):
+        kernel_weight_table(**args)
 
 
 def test_pv_refinement_improves():

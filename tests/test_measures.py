@@ -139,6 +139,21 @@ def test_stable_closed_form_rejects_bad_alpha():
                 bad, np.ones(1), st.directions, st.angular_weights)
 
 
+@pytest.mark.parametrize("dirs, weights", [
+    (np.tile([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], (3, 1)),
+     -np.ones(12)),
+    (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(3)),
+    (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, np.nan])),
+    (np.array([[1.0, 0.0], [np.inf, 0.0]]), np.ones(2)),
+])
+def test_stable_closed_form_rejects_bad_measure(dirs, weights):
+    # negative weights gave +28.27 (an exponent is <= 0); a short weight
+    # vector raised a bare numpy error from the matmul
+    with pytest.raises(InvalidInputError):
+        lm.char_exponent_stable_closed_form(1.0, np.array([1.0, 2.0]),
+                                            dirs, weights)
+
+
 def test_truncated_vs_closed_form_converges():
     # the missing inner window contributes ~ b^2 eps^(2-alpha) / (2 (2-alpha))
     alpha, b = 1.3, 1.7

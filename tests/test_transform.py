@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import levymult as lm
-from levymult.corpus import CorpusConfig, build_corpus, gaussian_bump
+from levymult.corpus import CorpusConfig, build_corpus, cosine_bump, gaussian_bump
 from levymult.exceptions import InvalidInputError
 from levymult.grid import GridFunction, PStar, lp_norm, read_grid, write_grid
 from levymult.multiplier import apply_multiplier, norm_ratio_sweep
@@ -247,6 +247,16 @@ def test_bump_l1_close_to_analytic():
     f = GridFunction((n, n), (L, L), arr)
     target = (np.sqrt(2 * np.pi) * w) ** 2
     assert lp_norm(f, 1.0) == pytest.approx(target, rel=1e-2)
+
+
+@pytest.mark.parametrize("bump", [gaussian_bump, cosine_bump])
+@pytest.mark.parametrize("period, center", [
+    ((1.0,), (0.5, 0.5)), ((1.0, 1.0), (0.5,)), ((1.0, 1.0, 1.0), (0.5, 0.5))])
+def test_bump_rejects_mismatched_axes(bump, period, center):
+    # zipping a short period or center against the sizes dropped axes
+    with pytest.raises(InvalidInputError):
+        bump((8, 8), period, center, 0.1)
+    assert bump((8, 8), (1.0, 1.0), (0.5, 0.5), 0.1).shape == (8, 8)
 
 
 # ---------------------------------------------------------------------------
