@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import multiplier
 from .corpus import CorpusConfig, build_corpus
 from .exceptions import InvalidInputError
 from .grid import read_grid, write_grid
@@ -149,7 +150,8 @@ def cmd_normratio(args) -> int:
                 fh.write(f"{sid},{r.p!r},{r.bound!r},{r.max_ratio!r},"
                          f"{r.argmax_id}\n")
                 any_violation |= r.violation
-    _write_meta(out, args, {"violation": any_violation})
+    _write_meta(out, args, {"violation": any_violation,
+                            "threads": multiplier._pool_size(len(corpus))})
     print(f"wrote {out / 'normratio.csv'}"
           + ("  [BOUND VIOLATION]" if any_violation else "  [all within bound]"))
     return VERIFY_ERROR if any_violation else 0

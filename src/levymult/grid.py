@@ -83,8 +83,15 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """Riemann-sum norm (sum |f_i|^p (L/N)^d)^(1/p)."""
     if p < 1:
         raise InvalidInputError("p must be at least 1")
-    mags = np.abs(f.samples)
-    return float((mags ** p).sum() * f.cell_volume) ** (1.0 / p)
+    return _norm_of_abs(np.abs(f.samples), p, f.cell_volume)
+
+
+def _norm_of_abs(mags, p, cell_volume, scratch=None):
+    """(sum mags^p * cell_volume)^(1/p), the norm ``lp_norm`` takes of |f|.
+
+    ``scratch``, shaped like ``mags``, receives mags^p when given.
+    """
+    return float(np.power(mags, p, out=scratch).sum() * cell_volume) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,9 @@ PI2 = math.pi ** 2
 # to below machine precision, and the closed form is stable for |q| > 1/2
 _G_TERMS = 26
 _Q_SERIES = 0.5
+# where 1 - |q| is below this, 1 +- q cancels in atanh(q); there it is
+# ln|x| - ln|y| from x^2 and y^2 instead
+_Q_AXIS = 1e-10
 
 # most points per kernel_closed_form call in kernel_weight_table
 _EVAL_BLOCK = 1 << 16
@@ -68,12 +71,14 @@ def cauchy_density_dt(t: float, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _g_of_q(q):
-    """(atanh(q) - q) / q^2, odd in q and smooth on (-1, 1).
+def _g_of_q(q, x2, y2):
+    """(atanh(q) - q) / q^2 for q = (x2 - y2)/(x2 + y2), odd in q.
 
     The direct expression cancels badly for small q, but there the odd
     series q/3 + q^3/5 + q^5/7 + ... converges geometrically, so the two
-    branches overlap with uniform near-machine accuracy.
+    branches overlap with uniform near-machine accuracy.  Near |q| = 1 (the
+    coordinate axes) the rounded q loses atanh(q) = (ln x2 - ln y2)/2, so
+    that is taken from x2 and y2.
     """
     q = np.asarray(q, dtype=float)
     out = np.empty_like(q)
@@ -85,8 +90,14 @@ def _g_of_q(q):
         acc *= q2
         acc += 1.0 / (2 * m + 1)
     out[small] = acc * qs
-    qb = q[~small]
-    out[~small] = (np.arctanh(qb) - qb) / (qb * qb)
+    axis = 1.0 - np.abs(q) < _Q_AXIS
+    big = ~small & ~axis
+    qb = q[big]
+    out[big] = (np.arctanh(qb) - qb) / (qb * qb)
+    qa = q[axis]
+    atanh = 0.5 * (np.log(np.broadcast_to(x2, q.shape)[axis])
+                   - np.log(np.broadcast_to(y2, q.shape)[axis]))
+    out[axis] = (atanh - qa) / (qa * qa)
     return out
 
 
@@ -109,7 +120,7 @@ def kernel_closed_form(x, y):
     if s.size and (np.any(x2 == 0) or np.any(y2 == 0)):
         raise SingularPointError("K is log-singular on the coordinate axes")
     q = (x2 - y2) / s
-    out = _g_of_q(q) / (PI2 * s)
+    out = _g_of_q(q, x2, y2) / (PI2 * s)
     return float(out) if out.ndim == 0 else out
 
 

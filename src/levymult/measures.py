@@ -421,20 +421,25 @@ def _coords(xi, d):
     return xi
 
 
-def _radial_columns(measure: TruncatedStableMeasure, pts):
+def _radial_columns(measure: TruncatedStableMeasure, pts, needed):
     """The radial integral at |xi . theta_i| for each direction theta_i.
 
-    A direction that is the exact negation of an earlier one reuses that
-    direction's integral when their |xi . theta| columns are bit-identical,
-    so every value equals a per-direction evaluation.  Mirrors only within
-    ``_ATOM_TOL`` are integrated on their own.
+    Only directions with ``needed[i]`` are integrated; the others read None.
+    A direction that is the exact negation of an earlier integrated one
+    reuses that direction's integral when their |xi . theta| columns are
+    bit-identical, so every value equals a per-direction evaluation.
+    Mirrors only within ``_ATOM_TOL`` are integrated on their own.
     """
     dirs = measure.directions
     proj = np.abs(pts @ dirs.T)
     radial = []
     for i in range(dirs.shape[0]):
+        if not needed[i]:
+            radial.append(None)
+            continue
         mirror = next((j for j in range(i)
-                       if np.array_equal(dirs[i], -dirs[j])
+                       if radial[j] is not None
+                       and np.array_equal(dirs[i], -dirs[j])
                        and np.array_equal(proj[:, i], proj[:, j])), None)
         radial.append(radial[mirror] if mirror is not None else _radial_integral(
             proj[:, i], measure.alpha, measure.epsilon, measure.outer_radius))
@@ -453,9 +458,12 @@ def _jump_integral(measure, coeff, xi):
         vals = (np.cos(pts @ measure.locations.T) - 1.0) @ (measure.weights * coeff)
     elif isinstance(measure, TruncatedStableMeasure):
         w = measure.angular_weights * coeff
+        # a direction with c = 0 adds +-0.0 to sums that start at +0.0,
+        # which changes no value: it is not integrated
         vals = np.zeros(pts.shape[0], dtype=w.dtype)
-        for i, radial in enumerate(_radial_columns(measure, pts)):
-            vals += w[i] * radial
+        for i, radial in enumerate(_radial_columns(measure, pts, w != 0)):
+            if radial is not None:
+                vals += w[i] * radial
     else:
         raise UnsupportedMeasureError(f"unsupported measure type {type(measure)!r}")
     return vals.reshape(xi.shape[:-1])

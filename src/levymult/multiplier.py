@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grid import GridFunction, PStar, lp_norm
+from .grid import GridFunction, PStar, _norm_of_abs, lp_norm
 from .symbols import ConstantSymbol, MultiplierSymbol
 
 __all__ = ["apply_multiplier", "symbol_on_grid", "norm_ratio_sweep", "SweepRow"]
@@ -56,6 +58,38 @@ class SweepRow:
     violation: bool
 
 
+def _pool_size(members: int) -> int:
+    """Sweep threads: one per CPU this process may run on, one per member at most."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, members)
+
+
+def _member_ratios(f, norms, factors, p_list):
+    """ratios[symbol][k] = ||M f||_{p_k} / ||f||_{p_k} for one member.
+
+    ``factors`` holds each symbol's grid values, or its value for a constant
+    symbol, which multiplies the samples with no transform.  The arithmetic
+    is that of ``apply_multiplier`` and ``lp_norm``, in reused buffers.
+    """
+    spec = np.fft.fftn(f.samples)
+    prod, g = np.empty_like(spec), np.empty_like(spec)
+    mags, scratch = np.empty(f.sizes), np.empty(f.sizes)
+    cell = f.cell_volume
+    ratios = []
+    for factor in factors:
+        if np.ndim(factor) == 0:
+            np.multiply(f.samples, factor, out=g)
+        else:
+            np.fft.ifftn(np.multiply(spec, factor, out=prod), out=g)
+        if not np.all(np.isfinite(g.view(float))):  # as GridFunction checks
+            raise InvalidInputError("samples must be finite")
+        np.abs(g, out=mags)
+        ratios.append([_norm_of_abs(mags, p, cell, scratch) / n
+                       for p, n in zip(p_list, norms)])
+    return ratios
+
+
 def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> list[list[SweepRow]]:
     """Max over the corpus of ||Mf||_p / ||f||_p for each symbol and p.
 
@@ -65,6 +99,11 @@ def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> list[list[SweepRow]]:
     shares one grid, so each member is transformed and normed once, and each
     symbol is evaluated once; every ratio equals the one ``apply_multiplier``
     and ``lp_norm`` give member by member.
+
+    Norms and symbol values are computed first, on the calling thread; then
+    each member is one task on a pool of ``_pool_size`` threads, and the
+    results are gathered in corpus order, so the rows do not depend on the
+    thread count.
     """
     symbols, corpus, p_list = list(symbols), list(corpus), list(p_list)
     if not corpus:
@@ -84,20 +123,19 @@ def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> list[list[SweepRow]]:
         norms.append([lp_norm(f, p) for p in p_list])
         if 0.0 in norms[-1]:
             raise InvalidInputError(f"corpus member {fid} has zero norm")
-    spectra = [np.fft.fftn(f.samples) for f in corpus]
+    factors = [symbol.value if isinstance(symbol, ConstantSymbol)
+               else symbol_on_grid(grid, symbol) for symbol in symbols]
+    with ThreadPoolExecutor(_pool_size(len(corpus))) as pool:
+        # ratios[member][symbol][k]; map yields in corpus order
+        ratios = list(pool.map(
+            lambda f, nf: _member_ratios(f, nf, factors, p_list),
+            corpus, norms))
     sweeps = []
-    for symbol in symbols:
-        constant = isinstance(symbol, ConstantSymbol)
-        values = None if constant else symbol_on_grid(grid, symbol)
-        ratios = []  # ratios[member][k], one transformed member at a time
-        for f, spec, nf in zip(corpus, spectra, norms):
-            g = f.with_samples(f.samples * symbol.value if constant
-                               else np.fft.ifftn(spec * values))
-            ratios.append([lp_norm(g, p) / n for p, n in zip(p_list, nf)])
+    for s in range(len(symbols)):
         rows = []
         for k, (p, bound) in enumerate(zip(p_list, bounds)):
-            m = int(np.argmax([r[k] for r in ratios]))  # first maximum wins
-            best = ratios[m][k]
+            m = int(np.argmax([r[s][k] for r in ratios]))  # first maximum wins
+            best = ratios[m][s][k]
             rows.append(SweepRow(p, bound, best, ids[m],
                                  best > bound * (1.0 + RATIO_SLACK)))
         sweeps.append(rows)

@@ -141,6 +141,26 @@ def test_normratio_small_suite(tmp_path):
         assert float(row.split(",")[2]) == 1.0  # bound at p = 2
 
 
+def test_normratio_output_does_not_depend_on_threads(tmp_path, monkeypatch):
+    from levymult import multiplier
+
+    cfg = write_json(tmp_path / "c.json", {
+        "symbols": [{"kind": "riesz2", "j": 1, "d": 2},
+                    {"kind": "power", "alpha": 1.0, "j": 1, "d": 2}],
+        "corpus": {"n": 64, "count": 5, "seed": 5},
+        "p_list": [4 / 3, 2.0, 4.0]})
+    csv = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(multiplier, "_pool_size", lambda members: threads)
+        out = tmp_path / f"o{threads}"
+        assert main(["--config", cfg, "--out", str(out), "normratio"]) == 0
+        csv[threads] = (out / "normratio.csv").read_bytes()
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["threads"] == threads
+    assert csv[1] == csv[2]
+    assert b"threads" not in csv[1]
+
+
 def test_normratio_empty_corpus(tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "symbol": {"kind": "riesz2", "j": 1, "d": 2},

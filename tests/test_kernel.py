@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_closed_vs_numeric_on_log_grid():
             q = lm.kernel_numeric(x, y, tol=1e-12)
             worst = max(worst, abs(c - q) / max(abs(c), 1e-300))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 1e-8), (1e-8, 1.0), (-2.0, 3e-9),
+                                  (1.0, 1e-9), (1.0, 1e-12)])
+def test_closed_form_near_axes(x, y):
+    # where 1 - |q| < 1e-10, atanh(q) from the rounded q cancelled: (1, 1e-8)
+    # read 1.7949 against 1.7651, and (1, 1e-9) overflowed to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = lm.kernel_closed_form(x, y)
+    assert math.isfinite(c)
+    assert c == pytest.approx(lm.kernel_numeric(x, y, tol=1e-11), rel=1e-9)
 
 
 def test_diagonal_series_limit():

@@ -243,6 +243,27 @@ def test_mirrored_directions_share_one_radial_integral(monkeypatch, offset,
     assert len(calls) == 2 * integrals
 
 
+def test_zero_weight_directions_are_not_integrated(monkeypatch):
+    # phi = 0 on the second axis: psi_phi integrates the first axis only
+    # (its mirror reuses it), and the skipped +-0.0 terms change no value
+    from levymult import measures
+
+    m = lm.TruncatedStableMeasure.axes(2, alpha=1.3, epsilon=0.05)
+    mod = lm.JumpModulator.axis_indicator(1)
+    xi = np.stack(np.meshgrid(np.linspace(-40, 40, 9), np.linspace(-30, 50, 9),
+                              indexing="ij"), axis=-1)
+    _, psi_phi_ref = _per_direction(m, mod.validate_on(m), xi)
+    calls = []
+    radial = measures._radial_integral
+    monkeypatch.setattr(measures, "_radial_integral",
+                        lambda b, *a: calls.append(b) or radial(b, *a))
+    psi_phi = lm.modulated_exponent(m, mod, xi).ravel()
+    assert np.array_equal(psi_phi, psi_phi_ref)
+    assert np.array_equal(np.signbit(psi_phi.imag), np.signbit(psi_phi_ref.imag))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.abs(xi[..., 0]).ravel())
+
+
 def test_inner_series_raises_when_it_cannot_converge():
     from levymult.exceptions import ConvergenceError
     from levymult.measures import _inner_correction

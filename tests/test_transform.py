@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import levymult as lm
+from levymult import multiplier
 from levymult.corpus import CorpusConfig, build_corpus, cosine_bump, gaussian_bump
 from levymult.exceptions import InvalidInputError
 from levymult.grid import GridFunction, PStar, lp_norm, read_grid, write_grid
@@ -278,12 +281,17 @@ def test_sweep_bounds_and_determinism():
         [(r.max_ratio, r.argmax_id) for r in rows2]
 
 
-def test_sweep_rejects_zero_norm_member():
+def test_sweep_rejects_zero_norm_member(monkeypatch):
     corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=3, seed=3))
     zero = corpus[0].with_samples(np.zeros_like(corpus[0].samples))
-    with pytest.raises(InvalidInputError):
+    calls = []
+    evaluate = lm.Riesz2Symbol.evaluate
+    monkeypatch.setattr(lm.Riesz2Symbol, "evaluate",
+                        lambda self, xi: calls.append(1) or evaluate(self, xi))
+    with pytest.raises(InvalidInputError, match="zero norm"):
         norm_ratio_sweep([lm.Riesz2Symbol(1, 2)], corpus + [zero], [2.0],
                          ids + ["zero"])
+    assert calls == []  # the norms are checked before any symbol is evaluated
 
 
 def test_sweep_empty_corpus():
@@ -318,6 +326,46 @@ def test_sweep_equals_per_symbol_reference():
         assert got == _reference_sweep(sym, corpus, p_list, ids)
     # the identity keeps its FFT-free path: every ratio is exactly 1
     assert [r.max_ratio for r in sweeps[0]] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sweep_rows_do_not_depend_on_pool_size(monkeypatch, threads):
+    # more threads than CPUs and a short switch interval interleave the
+    # member tasks as much as they can be; the rows must not move
+    corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=7, seed=4))
+    stable = lm.TruncatedStableMeasure.axes(2, alpha=1.2, epsilon=0.1)
+    symbols = [lm.ConstantSymbol(0.5), lm.Riesz2Symbol(1, 2),
+               lm.GeneralSymbol(stable, lm.JumpModulator.per_axis([1.0, -1.0]))]
+    p_list = [4 / 3, 2.0, 4.0]
+    monkeypatch.setattr(multiplier, "_pool_size", lambda members: 1)
+    single = norm_ratio_sweep(symbols, corpus, p_list, ids)
+    monkeypatch.setattr(multiplier, "_pool_size", lambda members: threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = norm_ratio_sweep(symbols, corpus, p_list, ids)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == single
+    for sym, rows in zip(symbols, pooled):
+        assert [(r.max_ratio, r.argmax_id) for r in rows] == \
+            _reference_sweep(sym, corpus, p_list, ids)
+
+
+def test_sweep_rejects_nonfinite_symbol_values(monkeypatch):
+    corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=3, seed=3))
+    evaluate = lm.Riesz2Symbol.evaluate
+
+    def nan_at_one_bin(self, xi):
+        out = evaluate(self, xi)
+        out[3, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(lm.Riesz2Symbol, "evaluate", nan_at_one_bin)
+    with pytest.raises(InvalidInputError, match="finite"):
+        apply_multiplier(corpus[0], lm.Riesz2Symbol(1, 2))
+    with pytest.raises(InvalidInputError, match="finite"):
+        norm_ratio_sweep([lm.Riesz2Symbol(1, 2)], corpus, [2.0], ids)
 
 
 def test_sweep_rejects_mixed_grids_and_bad_ids():
