@@ -21,6 +21,7 @@ which is what :func:`pv_convolve` discretises; the swap identity K(y, x) =
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy import integrate
@@ -243,8 +244,10 @@ def kernel_weight_table(sizes, period, rho: float, images: int | None = None,
     h1, h2 = L1 / n1, L2 / n2
     if images is None:
         images = _auto_images(max(n1, n2))
-    if images < 0:
-        raise InvalidInputError("images must be nonnegative")
+    if (isinstance(images, bool) or not isinstance(images, numbers.Real)
+            or not float(images).is_integer() or images < 0):
+        raise InvalidInputError(f"images must be a nonnegative integer, got {images!r}")
+    images = int(images)
     off1 = np.fft.fftfreq(n1, d=1.0 / n1) * h1
     off2 = np.fft.fftfreq(n2, d=1.0 / n2) * h2
     # image offsets at the sampled indices 0..n//2, one row per image

@@ -360,12 +360,16 @@ def _radial_integral(b, alpha, eps, outer, tol=1e-10):
     """integral_eps^outer (cos(b r) - 1) r**(-1-alpha) dr, vectorised over b >= 0.
 
     Uses the closed radial form with a series correction for the truncation
-    window; falls back to adaptive quadrature where the series would suffer
-    cancellation (large b*eps or a finite outer radius with large b*outer).
+    window; falls back to quadrature, one per distinct b, where the series
+    would suffer cancellation (large b*eps or a finite outer radius with
+    large b*outer).  Each distinct b is integrated once and scattered back,
+    which changes no value: the quadrature is per point and the series is
+    elementwise, apart from its iteration floor, which reads the batch
+    maximum that the distinct values keep.
     """
     b = np.asarray(b, dtype=float)
-    scalar = b.ndim == 0
-    b = np.atleast_1d(b)
+    shape = b.shape
+    b, inverse = np.unique(b, return_inverse=True)
     c = stable_power_coefficient(alpha)
     out = np.empty_like(b)
     edge = 25.0  # series is float-safe below this argument
@@ -379,15 +383,17 @@ def _radial_integral(b, alpha, eps, outer, tol=1e-10):
                      - _inner_correction(b[easy], alpha, eps))
     for i in np.nonzero(~easy)[0]:
         out[i] = _radial_integral_quad(float(b[i]), alpha, eps, outer, tol)
-    return out[0] if scalar else out
+    out = out[inverse].reshape(shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def _radial_integral_quad(b: float, alpha: float, eps: float, outer: float,
                           tol: float = 1e-10) -> float:
-    """Adaptive-quadrature version of the radial integral (scalar b).
+    """Quadrature version of the radial integral (scalar b).
 
-    Splits at r = 1 scale and uses an oscillatory-weight rule for the tail;
-    slower than the series route but independent of it.
+    An infinite window splits at r = 1 scale and uses an oscillatory-weight
+    rule for the tail; a finite window uses that rule throughout.  Slower
+    than the series route but independent of it.
     """
     if b == 0.0:
         return 0.0
@@ -401,14 +407,10 @@ def _radial_integral_quad(b: float, alpha: float, eps: float, outer: float,
             weight="cos", wvar=b, epsabs=tol / 4, limit=400)[0]
         tail_one = -(split ** (-alpha)) / alpha
         return core + tail_cos + tail_one
-    # finite window: split panels at the cosine zeros
-    pts = np.arange(math.ceil(b * eps / math.pi), math.floor(b * outer / math.pi) + 1)
-    pts = (pts * math.pi / b)[:80]
-    val, _ = integrate.quad(
-        lambda r: (math.cos(b * r) - 1.0) * r ** (-1.0 - alpha),
-        eps, outer, points=pts if len(pts) else None,
-        epsabs=tol, limit=max(100, 2 * len(pts) + 10))
-    return val
+    cos_part = integrate.quad(
+        lambda r: r ** (-1.0 - alpha), eps, outer,
+        weight="cos", wvar=b, epsabs=tol, limit=400)[0]
+    return cos_part - (eps ** (-alpha) - outer ** (-alpha)) / alpha
 
 
 def _coords(xi, d):
@@ -475,9 +477,10 @@ def char_exponent(measure, xi):
     ``xi`` may be a single d-vector or an array of shape (..., d); the result
     has the leading shape.  Discrete measures are summed exactly; truncated
     stable measures use the closed radial form with a series correction for
-    the truncation window, and adaptive quadrature, one call per point,
+    the truncation window, and one quadrature per distinct |xi . theta|
     where |xi . theta| * epsilon (or * outer_radius) passes 25, the edge
-    beyond which the series is not float-safe.
+    beyond which the series is not float-safe; a finite window uses the
+    oscillatory-weight rule over the whole window.
     """
     # clip the +0.0-level float noise at psi == 0
     psi = np.minimum(_jump_integral(measure, 1.0, xi), 0.0)

@@ -173,6 +173,17 @@ def test_normratio_empty_corpus(tmp_path):
 # kernel
 # ---------------------------------------------------------------------------
 
+def test_kernel_pv_mode_rejects_nonintegral_images(tmp_path, capsys):
+    n = 16
+    f = GridFunction.from_callable(lambda x, y: np.cos(x) * np.sin(y), (n, n), (L, L))
+    p = tmp_path / "f.lmgf"
+    write_grid(p, f)
+    cfg = write_json(tmp_path / "c.json", {
+        "pv": {"input": str(p), "rho": 2 * L / n, "images": 3.5}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "kernel"]) == 2
+    assert "images must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_kernel_table_matches_closed_form(tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "points": {"x": [1.0, 2.0], "y": [2.0, 1.0]}})

@@ -393,6 +393,22 @@ def test_weight_table_rejects_bad_inputs(change):
         kernel_weight_table(**args)
 
 
+@pytest.mark.parametrize("images", [3.5, 0.5, True, False, math.inf,
+                                    math.nan, "3"])
+def test_weight_table_rejects_nonintegral_images(images):
+    # a half-integer used to build the image range -3.5 .. 3.5 and shift
+    # every periodic image by half a period
+    with pytest.raises(InvalidInputError):
+        kernel_weight_table((16, 16), (L, L), 0.5, images)
+
+
+@pytest.mark.parametrize("images", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_weight_table_integral_images_any_type(images):
+    W = kernel_weight_table((16, 16), (L, L), 0.5, images)
+    assert W.tobytes() == reference_weight_table((16, 16), (L, L), 0.5, 3,
+                                                 1).tobytes()
+
+
 def test_pv_refinement_improves():
     errs = []
     for n in (64, 128, 256):

@@ -264,6 +264,95 @@ def test_zero_weight_directions_are_not_integrated(monkeypatch):
     assert np.array_equal(calls[0], np.abs(xi[..., 0]).ravel())
 
 
+def _per_point_radial_integral(b, alpha, eps, outer, tol=1e-10):
+    """The radial integral with one quadrature per point past the series
+    edge: the per-point oracle for the once-per-distinct-value route."""
+    from levymult.measures import (_inner_correction, _radial_integral_quad,
+                                   stable_power_coefficient)
+
+    b = np.asarray(b, dtype=float)
+    scalar = b.ndim == 0
+    b = np.atleast_1d(b)
+    c = stable_power_coefficient(alpha)
+    out = np.empty_like(b)
+    edge = 25.0
+    easy = b * eps <= edge
+    if math.isinf(outer):
+        full = c * np.abs(b[easy]) ** alpha
+        out[easy] = full - _inner_correction(b[easy], alpha, eps)
+    else:
+        easy &= b * outer <= edge
+        out[easy] = (_inner_correction(b[easy], alpha, outer)
+                     - _inner_correction(b[easy], alpha, eps))
+    for i in np.nonzero(~easy)[0]:
+        out[i] = _radial_integral_quad(float(b[i]), alpha, eps, outer, tol)
+    return out[0] if scalar else out
+
+
+@pytest.mark.parametrize("outer", [math.inf, 4.0])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9])
+def test_radial_integral_once_per_distinct_value_equals_per_point(alpha, outer):
+    # eps = 0.1 puts the series edge at b = 250 (and at b = 6.25 for the
+    # finite window); each value repeats, in no particular order
+    from levymult.measures import _radial_integral
+
+    rng = np.random.default_rng(7)
+    values = np.array([0.0, 0.5, 3.0, 6.0, 6.5, 40.0, 249.0, 250.0, 251.0,
+                       300.0, 731.5])
+    b = rng.permutation(np.repeat(values, 6)).reshape(6, 11)
+    out = _radial_integral(b, alpha, 0.1, outer)
+    assert out.shape == b.shape
+    assert np.array_equal(out.ravel(),
+                          _per_point_radial_integral(b.ravel(), alpha, 0.1, outer))
+    for x in (0.0, 3.0, 300.0):
+        got = _radial_integral(x, alpha, 0.1, outer)
+        assert np.ndim(got) == 0
+        assert got == _per_point_radial_integral(x, alpha, 0.1, outer)
+
+
+def test_radial_integral_keeps_shape_of_input():
+    from levymult.measures import _radial_integral
+
+    for shape in ((0,), (5,), (3, 4), (2, 1, 3)):
+        b = np.arange(math.prod(shape), dtype=float).reshape(shape) * 40.0
+        assert _radial_integral(b, 1.3, 0.1, math.inf).shape == shape
+
+
+def test_grid_symbol_integrates_each_distinct_projection_once(monkeypatch):
+    # on a 64^2 grid with period 2 pi, |xi . theta| = |k| takes 33 values,
+    # of which 26..32 pass the edge b * eps = 25: psi integrates 2 columns
+    # and psi_phi 1, so 3 * 7 quadratures (one per point: 3 * 832)
+    from levymult import measures
+
+    g = lm.GridFunction.from_callable(lambda x, y: np.cos(x) * np.sin(y),
+                                      (64, 64), (2 * np.pi, 2 * np.pi))
+    sym = lm.GeneralSymbol(lm.TruncatedStableMeasure.axes(2, 1.0, 1.0),
+                           lm.JumpModulator.axis_indicator(1))
+    calls = []
+    quad = measures._radial_integral_quad
+    monkeypatch.setattr(measures, "_radial_integral_quad",
+                        lambda *a: calls.append(a[0]) or quad(*a))
+    vals = sym.evaluate(-g.frequencies())
+    assert len(calls) == 21
+    assert sorted(set(calls)) == pytest.approx(range(26, 33), rel=1e-15)
+    calls.clear()
+    monkeypatch.setattr(measures, "_radial_integral", _per_point_radial_integral)
+    ref = sym.evaluate(-g.frequencies())
+    assert len(calls) == 3 * 832
+    assert np.array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("b, alpha, eps, outer, ref", [
+    # mpmath at 25+ digits, panels split at every cosine zero
+    (1000.0, 0.5, 1e-2, 10.0, -18.958249285232836),
+    (5000.0, 1.5, 1e-2, 20.0, -660.47093233569959)])
+def test_finite_window_quadrature_at_large_b_outer(b, alpha, eps, outer, ref):
+    from levymult.measures import _radial_integral, _radial_integral_quad
+
+    assert _radial_integral_quad(b, alpha, eps, outer) == pytest.approx(ref, rel=1e-12)
+    assert _radial_integral(b, alpha, eps, outer) == pytest.approx(ref, rel=1e-12)
+
+
 def test_inner_series_raises_when_it_cannot_converge():
     from levymult.exceptions import ConvergenceError
     from levymult.measures import _inner_correction
