@@ -206,6 +206,14 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+def _timed(seconds, stage, fn, *args):
+    """fn(*args), its wall seconds recorded as ``seconds[stage]``."""
+    start = time.perf_counter()
+    out = fn(*args)
+    seconds[stage] = time.perf_counter() - start
+    return out
+
+
 def _row(row, *keys):
     """A ``verify.json`` row: the named fields and the row's own verdict."""
     return {**{key: getattr(row, key) for key in keys}, "pass": row.passed}
@@ -218,6 +226,7 @@ def cmd_verify(args) -> int:
     seed = int(cfg.get("seed", args.seed))
     p_list = [float(p) for p in cfg.get("p_list", [1.5, 2, 3])]
     report = {"seed": seed, "n_paths": n_paths, "scenarios": {}}
+    stages = {}  # per scenario, for run_meta.json only
     failed = False
     for name in names:
         if isinstance(name, dict):  # inline scenario document
@@ -228,13 +237,18 @@ def cmd_verify(args) -> int:
                 scn = scenario_by_name(name)
             except KeyError:
                 raise InvalidInputError(f"unknown scenario {name!r}")
-        res = evolve_ensemble(scn, n_paths, seed)
+        seconds = {}
+        res = _timed(seconds, "ensemble", evolve_ensemble, scn, n_paths, seed)
         drift, tower = martingale_property_check(res)
-        levy = levy_system_check(scn.lattice, scn.window, n_paths, seed + 3)
-        l1 = l1_mass_check(scn.lattice, scn.f, scn.window, n_paths, seed + 4)
-        proj = projection_identity_check(scn.lattice, scn.f,
-                                         -(scn.window[1] - scn.window[0]),
-                                         n_paths, seed + 5)
+        levy = _timed(seconds, "levy_system", levy_system_check, scn.lattice,
+                      scn.window, n_paths, seed + 3)
+        l1 = _timed(seconds, "l1_mass", l1_mass_check, scn.lattice, scn.f,
+                    scn.window, n_paths, seed + 4)
+        proj = _timed(seconds, "projection", projection_identity_check,
+                      scn.lattice, scn.f, -(scn.window[1] - scn.window[0]),
+                      n_paths, seed + 5)
+        stages[name] = {"seconds": seconds, "paths": n_paths,
+                        "jumps": res.n_jumps, "modes": scn.lattice.n_points}
         entry = {
             "drift": [_row(r, "process", "t1", "t2", "drift", "stderr",
                            "sigmas") for r in drift],
@@ -256,7 +270,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     (out / "verify.json").write_text(
         json.dumps(report, indent=2, sort_keys=True, default=_json_default))
-    _write_meta(out, args, {"failed": failed})
+    _write_meta(out, args, {"failed": failed, "scenarios": stages})
     print(f"wrote {out / 'verify.json'}"
           + ("  [3-SIGMA FAILURE]" if failed else "  [all checks passed]"))
     return VERIFY_ERROR if failed else 0

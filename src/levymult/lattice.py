@@ -91,7 +91,8 @@ class PeriodicLattice:
         self.psi = psi.ravel()
         self.sphi = sphi.ravel()  # sum_a w_a phi_a (e^{i 2 pi k.z/n} - 1)
         # the N = lcm(sizes) roots of unity: the DFT column e^{2 pi i k.x/n}
-        # of a point x is phase[(k.(N/n)).x mod N], O(P) work per column
+        # of a point x is the product over the axes a of the factors
+        # e^{2 pi i k_a x_a/n_a} = phase[(k_a (N/n_a) x_a) mod N], O(n_a) each
         n_roots = math.lcm(*sizes)
         self.phase = np.exp(2j * np.pi * np.arange(n_roots) / n_roots)
         self.cum_weights = np.cumsum(self.weights) / self.weights.sum()

@@ -343,12 +343,13 @@ def _inner_correction(b, alpha, eps, tol=1e-14, max_terms=120):
         return out
     term_scale = np.ones_like(b)
     converged = np.zeros(b.shape, dtype=bool)
+    floor = np.maximum(2, a.astype(np.int64) // 2)  # per value, not per batch
     for m in range(1, max_terms + 1):
         term_scale = term_scale * (a * a) / ((2 * m - 1) * (2 * m))
         term = ((-1) ** m) * term_scale * eps ** (-alpha) / (2 * m - alpha)
         out = np.where(converged, out, out + term)
         newly = np.abs(term) <= tol * np.maximum(np.abs(out), eps ** (-alpha) * 1e-30)
-        converged |= newly & (m > max(2, int(np.max(a)) // 2))
+        converged |= newly & (m > floor)
         if np.all(converged):
             return out
     raise ConvergenceError(
@@ -364,8 +365,8 @@ def _radial_integral(b, alpha, eps, outer, tol=1e-10):
     would suffer cancellation (large b*eps or a finite outer radius with
     large b*outer).  Each distinct b is integrated once and scattered back,
     which changes no value: the quadrature is per point and the series is
-    elementwise, apart from its iteration floor, which reads the batch
-    maximum that the distinct values keep.
+    elementwise, its iteration floor included, so a value does not depend
+    on the rest of its batch.
     """
     b = np.asarray(b, dtype=float)
     shape = b.shape

@@ -219,6 +219,7 @@ def evolve_martingales(lat: PeriodicLattice, path: PoissonPath, x0: int,
 @dataclass
 class EnsembleResult:
     n_paths: int
+    n_jumps: int
     window: tuple
     checkpoints: np.ndarray
     f_cp: np.ndarray
@@ -243,7 +244,8 @@ def evolve_ensemble(scn: Scenario, n_paths: int, seed: int) -> EnsembleResult:
         np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
         lat.sphi, lat.phase, lat.atom_steps, lat.phi, scn.f.astype(complex),
         int(scn.x0), float(s), float(u), counts, offsets, times, aidx, cps)
-    return EnsembleResult(n_paths, tuple(scn.window), cps, *rows, complex(pf0))
+    return EnsembleResult(n_paths, int(counts.sum()), tuple(scn.window), cps,
+                          *rows, complex(pf0))
 
 
 def _mean_se(values):

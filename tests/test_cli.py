@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +323,59 @@ def test_verify_rerun_byte_identical(tmp_path):
         (tmp_path / "r2" / "verify.json").read_bytes()
     meta = json.loads((tmp_path / "r1" / "run_meta.json").read_text())
     assert "workers" not in meta
+
+
+def test_verify_run_meta_records_stages(tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1", "plane_axis_phi"], "n_paths": 200,
+        "seed": 7})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) == 0
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    for name, modes in (("walk_phi1", 32), ("plane_axis_phi", 256)):
+        entry = meta["scenarios"][name]
+        assert sorted(entry["seconds"]) == ["ensemble", "l1_mass",
+                                            "levy_system", "projection"]
+        assert all(t >= 0.0 for t in entry["seconds"].values())
+        counts, *_ = st.sample_ensemble(scenario_by_name(name).lattice,
+                                        scenario_by_name(name).window, 200, 7)
+        assert (entry["paths"], entry["jumps"], entry["modes"]) == \
+            (200, int(counts.sum()), modes)
+    report = (tmp_path / "o" / "verify.json").read_text()
+    assert "seconds" not in report and "jumps" not in report
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the evolve kernel contracts by batched matmul: each BLAS thread count
+    # must give the same bytes, on a lattice large enough to split the work
+    n = 64
+    x = np.arange(n)
+    f = np.exp(-0.5 * (((x - 20.0) / 6.0) ** 2)[:, None]
+               - 0.5 * (((x - 41.0) / 5.0) ** 2)[None, :])
+    atoms = [{"z": z, "w": 1.0}
+             for z in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
+    doc = {"name": "plane64", "measure": {"kind": "discrete", "atoms": atoms},
+           "modulator": {"kind": "axis", "j": 1}, "sizes": [n, n],
+           "f": list(f.ravel()), "x0": 20 * n + 41, "window": [0.0, 0.8],
+           "checkpoints": [0.4]}
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": [doc, "plane_axis_phi"], "n_paths": 60, "seed": 5})
+    src = os.path.dirname(os.path.dirname(lm.__file__))
+    cpus = len(os.sched_getaffinity(0))
+    reports = []
+    for run, threads in enumerate((1, max(cpus, 2))):
+        env = dict(os.environ, PYTHONPATH=src,
+                   **{var: str(threads) for var in (
+                       "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                       "MKL_NUM_THREADS")})
+        out = tmp_path / f"o{run}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "levymult.cli", "--config", cfg,
+             "--out", str(out), "verify"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr
+        reports.append((out / "verify.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_128x128_lattice(tmp_path):

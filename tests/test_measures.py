@@ -318,6 +318,17 @@ def test_radial_integral_keeps_shape_of_input():
         assert _radial_integral(b, 1.3, 0.1, math.inf).shape == shape
 
 
+def test_radial_integral_value_does_not_depend_on_its_batch():
+    # the series' iteration floor is per value: a batch reaching b*eps = 25
+    # gives every value the bits of a call on that value alone
+    from levymult.measures import _radial_integral
+
+    b = np.linspace(0.0, 25.0, 2000)
+    batch = _radial_integral(b, 1.9, 1.0, math.inf)
+    alone = np.array([_radial_integral(x, 1.9, 1.0, math.inf) for x in b])
+    assert np.array_equal(batch, alone)
+
+
 def test_grid_symbol_integrates_each_distinct_projection_once(monkeypatch):
     # on a 64^2 grid with period 2 pi, |xi . theta| = |k| takes 33 values,
     # of which 26..32 pass the edge b * eps = 25: psi integrates 2 columns

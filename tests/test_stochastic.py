@@ -118,30 +118,28 @@ def test_scenario_base_point_bounds():
 # ---------------------------------------------------------------------------
 
 def gauss_legendre_compensator(lat, path, x0, f, t, nodes_per_unit=160):
-    """Independent compensator oracle: Gauss-Legendre panels between jumps."""
+    """Independent compensator oracle: Gauss-Legendre panels between jumps,
+    with every column built whole by ``lat.column``."""
     s, u = path.window
     f = np.asarray(f, dtype=complex).ravel()
     fhat = lat.fft(f)
 
-    def pf(flat, v):
+    def pf(coords, v):
+        flat = lat.flat_index(coords)
         return (fhat * np.exp((u - v) * lat.psi) * lat.column(flat)).sum() \
             / lat.n_points
 
     events = [s] + [tt for tt in path.times if tt <= t] + [t]
-    positions = [0]
-    pos = np.zeros(lat.d, dtype=np.int64)
+    positions = [np.array(np.unravel_index(int(x0), lat.sizes))]
     for a in path.atom_indices[:len(events) - 2]:
-        pos = (pos + lat.atom_steps[a]) % np.array(lat.sizes)
-        positions.append(int(np.ravel_multi_index(pos, lat.sizes)))
+        positions.append(positions[-1] + lat.atom_steps[a])
     total = 0.0 + 0.0j
     gl_x, gl_w = np.polynomial.legendre.leggauss(12)
     for i in range(len(events) - 1):
         v1, v2 = events[i], events[i + 1]
         if v2 <= v1:
             continue
-        base = (int(x0) + positions[i]) % lat.n_points if lat.d == 1 else None
-        if lat.d == 1:
-            flat = base
+        pos = positions[i]
         n_panels = max(1, int(np.ceil((v2 - v1) * nodes_per_unit / 12)))
         edges = np.linspace(v1, v2, n_panels + 1)
         for a_, b_ in zip(edges[:-1], edges[1:]):
@@ -150,10 +148,26 @@ def gauss_legendre_compensator(lat, path, x0, f, t, nodes_per_unit=160):
                 v = mid + half * xg
                 acc = 0.0 + 0.0j
                 for st_i, w_i, ph_i in zip(lat.atom_steps, lat.weights, lat.phi):
-                    shifted = (flat + int(st_i[0])) % lat.n_points
-                    acc += w_i * ph_i * (pf(shifted, v) - pf(flat, v))
+                    acc += w_i * ph_i * (pf(pos + st_i, v) - pf(pos, v))
                 total += half * wg * acc
     return total
+
+
+def gl_terminal_f(lat, path, x0, f):
+    """F_u on one path: the jump sum minus the Gauss-Legendre compensator,
+    every column built whole by ``lat.column``."""
+    u = path.window[1]
+    fhat = lat.fft(np.asarray(f, dtype=complex).ravel())
+    pos = np.array(np.unravel_index(int(x0), lat.sizes))
+    jsum = 0.0 + 0.0j
+    for t, a in zip(path.times, path.atom_indices):
+        new = pos + lat.atom_steps[a]
+        pf_new, pf_old = ((fhat * np.exp((u - t) * lat.psi)
+                           * lat.column(lat.flat_index(c))).sum()
+                          / lat.n_points for c in (new, pos))
+        jsum += lat.phi[a] * (pf_new - pf_old)
+        pos = new
+    return jsum - gauss_legendre_compensator(lat, path, x0, f, u)
 
 
 def test_single_path_matches_gl_oracle():
@@ -176,6 +190,23 @@ def test_single_path_matches_gl_oracle():
             jsum += lat.phi[a] * (pf_new - pf_old)
             pos = new
         assert pair.f_terminal == pytest.approx(jsum - comp, abs=5e-10)
+
+
+def test_single_path_matches_gl_oracle_in_2d():
+    # a non-square lattice with the off-axis atom (1, 2) and complex phi: the
+    # kernel contracts per-axis factors, the oracle builds each column whole
+    scn = skew_scenario()
+    lat = scn.lattice
+    res = st.evolve_ensemble(scn, 4, seed=21)
+    jumps = 0
+    for idx in range(4):
+        path = st.sample_path(lat, scn.window, seed=21, path_index=idx)
+        jumps += path.n_jumps
+        want = gl_terminal_f(lat, path, scn.x0, scn.f)
+        pair = st.evolve_martingales(lat, path, scn.x0, scn.f)
+        assert pair.f_terminal == pytest.approx(want, abs=5e-10)
+        assert res.f_u[idx] == pytest.approx(want, abs=5e-10)
+    assert jumps > 0
 
 
 def test_lemma_identity_phi_one_pathwise():
@@ -318,6 +349,85 @@ def test_projection_rows_match_oracle():
             assert np.abs(lat.ifft(rows[m]) - want).max() < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# mutation guards: each defect must push a kernel past its oracle tolerance
+# ---------------------------------------------------------------------------
+
+def evolve_kernel_gap(scn, n=8, seed=31):
+    """Largest gap of the evolve kernel's F_u and [G, G]_u from the oracle."""
+    res = st.evolve_ensemble(scn, n, seed)
+    gaps = []
+    for idx in range(n):
+        path = st.sample_path(scn.lattice, scn.window, seed=seed,
+                              path_index=idx)
+        pair = st.evolve_martingales(scn.lattice, path, scn.x0, scn.f)
+        gaps += [abs(res.f_u[idx] - pair.f_terminal),
+                 abs(res.qv_g[idx] - pair.qv_g[-1])]
+    return max(gaps)
+
+
+def projection_kernel_gap(scn, n=2, seed=34):
+    """Largest gap of the projection rows from the oracle started at every
+    base point, as in ``test_projection_rows_match_oracle``."""
+    lat = scn.lattice
+    window = (scn.window[0] - scn.window[1], 0.0)
+    counts, offsets, times, aidx = st.sample_ensemble(lat, window, n, seed)
+    rows = core.projection_ensemble(
+        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
+        lat.sphi, lat.phase, lat.atom_steps, lat.phi, *window,
+        counts, offsets, times, aidx)
+    gaps = []
+    for m in range(n):
+        path = st.sample_path(lat, window, seed=seed, path_index=m)
+        f_u = np.array([st.evolve_martingales(lat, path, x, scn.f).f_terminal
+                        for x in range(lat.n_points)])
+        want = np.roll(f_u.reshape(lat.sizes), tuple(path.positions()[-1]),
+                       axis=tuple(range(lat.d))).ravel()
+        gaps.append(np.abs(lat.ifft(rows[m]) - want).max())
+    return max(gaps)
+
+
+def swap_axis_factors(monkeypatch):
+    factors = core._factors
+    monkeypatch.setattr(core, "_factors",
+                        lambda *args: factors(*args)[::-1])
+
+
+def drop_jump_factor(monkeypatch):
+    # omega = 1, so the column after a jump is the column before it
+    table = core._jump_table
+    monkeypatch.setattr(core, "_jump_table",
+                        lambda sizes, phase, steps, phi:
+                        table(sizes, phase, 0 * steps, phi))
+
+
+def scale_compensator(monkeypatch):
+    blocks = core._blocks
+
+    def scaled(*args):
+        for *head, drop in blocks(*args):
+            yield (*head, 1.01 * drop)
+    monkeypatch.setattr(core, "_blocks", scaled)
+
+
+@pytest.mark.parametrize("mutate, scenario, kernels", [
+    (swap_axis_factors, "plane_axis_phi", (evolve_kernel_gap,
+                                           projection_kernel_gap)),
+    (drop_jump_factor, "skew_6x10", (projection_kernel_gap,)),
+    (scale_compensator, "skew_6x10", (evolve_kernel_gap,
+                                      projection_kernel_gap)),
+])
+def test_kernel_defect_breaks_the_oracle_comparison(monkeypatch, mutate,
+                                                    scenario, kernels):
+    scn = (skew_scenario() if scenario == "skew_6x10"
+           else sc.scenario_by_name(scenario))
+    for gap in kernels:
+        assert gap(scn) < 1e-12
+    mutate(monkeypatch)
+    for gap in kernels:
+        assert gap(scn) > 1e-12, gap.__name__
+
+
 def test_levy_sums_match_direct_sum():
     for scn in oracle_scenarios():
         lat = scn.lattice
@@ -344,18 +454,20 @@ def test_levy_sums_match_direct_sum():
 
 
 def test_column_is_the_dft_column():
-    # conj(fft(delta_x))_k = e^{2 pi i k.x/n}; the kernels gather the same
-    # columns from the N = lcm(sizes) = 30 roots of unity in lat.phase
+    # conj(fft(delta_x))_k = e^{2 pi i k.x/n}; the kernels read its per-axis
+    # factors from the N = lcm(sizes) = 30 roots of unity in lat.phase
     lat = skew_scenario().lattice
     assert lat.phase.shape == (30,)
     coords = np.indices(lat.sizes).reshape(lat.d, -1).T
-    gathered = core._columns(np.asarray(lat.sizes), lat.phase, coords)
+    factors = core._factors(np.asarray(lat.sizes), lat.phase, coords)
+    assert [f.shape for f in factors] == [(60, 6), (60, 10)]
+    product = (factors[0][:, :, None] * factors[1][:, None, :]).reshape(60, 60)
     for x in range(lat.n_points):
         delta = np.zeros(lat.n_points)
         delta[x] = 1.0
         want = np.conj(lat.fft(delta))
         assert np.abs(lat.column(x) - want).max() < 1e-14
-        assert np.abs(gathered[x] - want).max() < 1e-14
+        assert np.abs(product[x] - want).max() < 1e-14
 
 
 def test_lattice_tables_are_small():
@@ -370,6 +482,11 @@ def test_lattice_tables_are_small():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert lat.phase.shape == (64,)
+    # the projection's per-call table of step columns fits in one block
+    table = core._jump_table(np.asarray(lat.sizes), lat.phase, lat.atom_steps,
+                             lat.phi)
+    assert table.shape == (5, 64 * 64)
+    assert table.size <= core.BLOCK
 
 
 def test_get_backend_names_the_numpy_core():
