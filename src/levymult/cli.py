@@ -137,11 +137,13 @@ def cmd_normratio(args) -> int:
     if corpus_config.count < 1:
         raise InvalidInputError("corpus count must be positive")
     p_list = [float(p) for p in cfg.get("p_list", [4 / 3, 1.5, 2.0, 3.0, 4.0])]
-    corpus, ids = build_corpus(corpus_config)
+    seconds = {}
+    corpus, ids = _timed(seconds, "corpus", build_corpus, corpus_config)
     out = _out_dir(args)
     any_violation = False
     symbols = [symbol_from_dict(spec) for spec in symbol_specs]
     sweeps = norm_ratio_sweep(symbols, corpus, p_list, ids)
+    seconds.update(sweeps.seconds)
     with open(out / "normratio.csv", "w") as fh:
         fh.write("symbol_id,p,p_star_minus_1,max_ratio,argmax_corpus_id\n")
         for i, (spec, rows) in enumerate(zip(symbol_specs, sweeps)):
@@ -151,7 +153,9 @@ def cmd_normratio(args) -> int:
                          f"{r.argmax_id}\n")
                 any_violation |= r.violation
     _write_meta(out, args, {"violation": any_violation,
-                            "threads": multiplier._pool_size(len(corpus))})
+                            "threads": multiplier._pool_size(len(corpus)),
+                            "seconds": seconds,
+                            "half_spectrum_symbols": sweeps.half_spectrum_symbols})
     print(f"wrote {out / 'normratio.csv'}"
           + ("  [BOUND VIOLATION]" if any_violation else "  [all within bound]"))
     return VERIFY_ERROR if any_violation else 0

@@ -39,19 +39,32 @@ def _family_counts(count):
     return counts
 
 
-def _periodic_r2(sizes, period, center):
-    """Squared periodic distance from ``center`` at every grid point."""
+def _axis_offsets(sizes, period, center):
+    """Periodic offsets from ``center`` along each axis, shaped to broadcast.
+
+    Axis a gets the 1-d offsets in [-L/2, L/2) of its grid points, reshaped
+    to length n_a on axis a and 1 on every other axis.  Broadcast, they give
+    the values of full coordinate meshgrids bit for bit, at 1/n of the work.
+    """
     sizes, period, center = (np.atleast_1d(v) for v in (sizes, period, center))
     if not len(sizes) == len(period) == len(center):
         raise InvalidInputError(
             f"sizes, period and center differ in length: "
             f"{len(sizes)}, {len(period)}, {len(center)}")
-    axes = [np.arange(n) * (L / n) for n, L in zip(sizes, period)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    r2 = np.zeros(grids[0].shape)
-    for g, c, L in zip(grids, center, period):
-        dx = np.remainder(g - c + L / 2, L) - L / 2
-        r2 += dx * dx
+    offsets = []
+    for a, (n, L, c) in enumerate(zip(sizes, period, center)):
+        x = np.arange(n) * (L / n)
+        shape = [1] * len(sizes)
+        shape[a] = n
+        offsets.append((np.remainder(x - c + L / 2, L) - L / 2).reshape(shape))
+    return offsets
+
+
+def _periodic_r2(sizes, period, center):
+    """Squared periodic distance from ``center`` at every grid point."""
+    r2 = 0.0
+    for dx in _axis_offsets(sizes, period, center):
+        r2 = r2 + dx * dx
     return r2
 
 
@@ -91,8 +104,6 @@ def build_corpus(config: CorpusConfig):
         center = rng.uniform(0, L, size=d)
         width = rng.uniform(0.05, 0.2) * L
         emit(f"cosbump{i}", cosine_bump(sizes, period, center, width))
-    axes = [np.arange(m) * (L / m) for m in sizes]
-    grids = np.meshgrid(*axes, indexing="ij")
     for i in range(counts["indicator"]):
         center = rng.uniform(0, L, size=d)
         if d == 2 and i % 2 == 0:
@@ -101,10 +112,10 @@ def build_corpus(config: CorpusConfig):
             emit(f"disk{i}", (r2 < radius * radius).astype(float))
         else:
             half = rng.uniform(0.05, 0.25, size=d) * L
-            inside = np.ones(grids[0].shape, dtype=bool)
-            for g, c, hw in zip(grids, center, half):
-                inside &= np.abs(np.remainder(g - c + L / 2, L) - L / 2) < hw
-            emit(f"box{i}", inside.astype(float))
+            inside = True
+            for dx, hw in zip(_axis_offsets(sizes, period, center), half):
+                inside = inside & (np.abs(dx) < hw)
+            emit(f"box{i}", np.broadcast_to(inside, sizes).astype(float))
     for i in range(counts["trig"]):
         band = int(rng.integers(2, max(3, n // 16)))
         spec = np.zeros(sizes, dtype=complex)
@@ -123,6 +134,8 @@ def build_corpus(config: CorpusConfig):
         width = rng.uniform(0.1, 0.3) * L
         env = gaussian_bump(sizes, period, center, width)
         phase = rng.uniform(0, 2 * np.pi)
-        carrier = np.cos(2 * np.pi * k * grids[axis] / L + phase)
+        x = (np.arange(n) * (L / n)).reshape([n if a == axis else 1
+                                              for a in range(d)])
+        carrier = np.cos(2 * np.pi * k * x / L + phase)
         emit(f"wave{i}_k{k}", env * carrier)
     return members, ids

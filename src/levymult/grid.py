@@ -89,9 +89,26 @@ def lp_norm(f: GridFunction, p: float) -> float:
 def _norm_of_abs(mags, p, cell_volume, scratch=None):
     """(sum mags^p * cell_volume)^(1/p), the norm ``lp_norm`` takes of |f|.
 
+    mags^p is a product of mags for integer p <= 4, mags sqrt(mags) for
+    p = 3/2 and mags cbrt(mags) for p = 4/3, each within a few ulp of
+    ``np.power`` at a fraction of its cost; any other p uses ``np.power``.
     ``scratch``, shaped like ``mags``, receives mags^p when given.
     """
-    return float(np.power(mags, p, out=scratch).sum() * cell_volume) ** (1.0 / p)
+    if p == 1.0:
+        powered = mags
+    elif p in (2.0, 3.0, 4.0):
+        powered = np.multiply(mags, mags, out=scratch)
+        if p == 3.0:
+            powered *= mags
+        elif p == 4.0:
+            powered *= powered
+    elif p in (1.5, 4.0 / 3.0):
+        root = np.sqrt if p == 1.5 else np.cbrt
+        powered = root(mags, out=scratch)
+        powered *= mags
+    else:
+        powered = np.power(mags, p, out=scratch)
+    return float(powered.sum() * cell_volume) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from scipy import integrate
 
 from .exceptions import ConvergenceError, InvalidInputError, SingularPointError
 from .grid import GridFunction
+from .multiplier import _Spectra
 
 __all__ = [
     "cauchy_density",
@@ -37,7 +38,6 @@ __all__ = [
     "kernel_truncated",
     "kernel_weight_table",
     "pv_convolve",
-    "annular_integral",
 ]
 
 PI2 = math.pi ** 2
@@ -46,9 +46,10 @@ PI2 = math.pi ** 2
 # to below machine precision, and the closed form is stable for |q| > 1/2
 _G_TERMS = 26
 _Q_SERIES = 0.5
-# where 1 - |q| is below this, 1 +- q cancels in atanh(q); there it is
-# ln|x| - ln|y| from x^2 and y^2 instead
-_Q_AXIS = 1e-10
+# where 1 - |q| is below this, 1 +- q cancels in atanh(q): the rounding of q
+# grows by 1/(1 - |q|), costing 4e-9 relative at 1 - |q| ~ 1e-10 and about
+# 5e-13 at 1e-6; there atanh(q) is ln|x| - ln|y| from x^2 and y^2 instead
+_Q_AXIS = 1e-6
 
 # most points per kernel_closed_form call in kernel_weight_table
 _EVAL_BLOCK = 1 << 16
@@ -172,22 +173,6 @@ def kernel_truncated(eps: float, T: float, x: float, y: float,
     return val
 
 
-def annular_integral(a: float, b: float, n_theta: int = 2048,
-                     n_r: int = 64) -> float:
-    """integral of K over the annulus a < |(x,y)| < b (vanishes exactly:
-    the swap antisymmetry makes every circle mean-free)."""
-    if not 0 < a < b:
-        raise InvalidInputError("need 0 < a < b")
-    theta = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-    vals = np.array([
-        (kernel_closed_form(rr * np.cos(theta), rr * np.sin(theta))).sum()
-        * (2 * np.pi / n_theta) * rr
-        for rr in r])
-    return float((weights * vals).sum() * 0.5 * (b - a))
-
-
 # ---------------------------------------------------------------------------
 # discrete principal-value convolution
 # ---------------------------------------------------------------------------
@@ -298,5 +283,6 @@ def pv_convolve(f: GridFunction, rho: float, orientation: int = 1,
     if rho < min_cell:
         raise InvalidInputError("cutoff radius is smaller than a grid cell")
     W = kernel_weight_table(f.sizes, f.period, rho, images, orientation)
-    conv = np.fft.ifftn(np.fft.fftn(W) * np.fft.fftn(f.samples))
+    spectra = _Spectra(f)  # W is real: real f takes the real transforms
+    conv = spectra.apply(np.fft.rfftn(W) if spectra.real else np.fft.fftn(W))
     return f.with_samples(0.5 * f.samples - conv)

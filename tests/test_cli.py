@@ -164,6 +164,27 @@ def test_normratio_output_does_not_depend_on_threads(tmp_path, monkeypatch):
     assert b"threads" not in csv[1]
 
 
+def test_normratio_run_meta_records_stages(tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "symbols": [{"kind": "riesz2", "j": 1, "d": 2},
+                    {"kind": "riesz_pair", "j": 1, "k": 2, "d": 2},
+                    {"kind": "beurling_ahlfors"},
+                    {"kind": "power", "alpha": 1.0, "j": 1, "d": 2},
+                    {"kind": "constant", "value": 0.5, "d": 2}],
+        "corpus": {"n": 64, "count": 4, "seed": 5},
+        "p_list": [4 / 3, 2.0, 4.0]})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "normratio"]) == 0
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    assert sorted(meta["seconds"]) == ["corpus", "norms", "sweep", "symbols"]
+    assert all(t >= 0.0 for t in meta["seconds"].values())
+    # riesz2 and power: the pair and Beurling-Ahlfors are not conjugate-
+    # symmetric on the grid, and the constant takes no transform
+    assert meta["half_spectrum_symbols"] == 2
+    csv = (tmp_path / "o" / "normratio.csv").read_text()
+    assert "seconds" not in csv and "half_spectrum" not in csv
+
+
 def test_normratio_empty_corpus(tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "symbol": {"kind": "riesz2", "j": 1, "d": 2},

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import levymult as lm
+from levymult import corpus as corpus_mod
 from levymult import multiplier
 from levymult.corpus import CorpusConfig, build_corpus, cosine_bump, gaussian_bump
 from levymult.exceptions import InvalidInputError
@@ -218,6 +220,88 @@ def test_real_input_real_output_for_real_symbols():
         assert np.linalg.norm(out.samples.imag) <= 1e-10 * denom
 
 
+# the kinds on a 64^2 grid, each with whether its grid values are kept as a
+# half spectrum: real and even on the DFT grid.  The mixed pair and the
+# first-order Riesz transform are odd in one axis, so they differ from their
+# mirror on the Nyquist line, where the grid samples -N/2 but not +N/2;
+# Beurling-Ahlfors and a complex combination are even but not real.
+_STABLE = lm.TruncatedStableMeasure.axes(2, alpha=1.2, epsilon=0.1)
+ROUTE_KINDS = {
+    "constant": (lm.ConstantSymbol(0.5, 2), False),
+    "power": (lm.PowerSymbol(0.7, 1, 2), True),
+    "riesz2": (lm.Riesz2Symbol(1, 2), True),
+    "riesz_pair": (lm.RieszPairSymbol(1, 2, 2), False),
+    "riesz_combo": (lm.RieszComboSymbol([0.5, -1.0]), True),
+    "riesz_combo_complex": (lm.RieszComboSymbol([0.5j, -1.0]), False),
+    "general": (lm.GeneralSymbol(_STABLE, lm.JumpModulator.per_axis([1.0, -0.5])),
+                True),
+    "finite_time": (lm.FiniteTimeSymbol(
+        lm.DiscreteLevyMeasure.axes(2), lm.JumpModulator.axis_indicator(1), -0.5),
+        True),
+    "beurling_ahlfors": (lm.BeurlingAhlforsSymbol(), False),
+    "first_order_riesz": (lm.FirstOrderRieszSymbol(1, 2), False),
+    "product": (lm.ProductSymbol(lm.Riesz2Symbol(1, 2), lm.PowerSymbol(1.0, 2, 2)),
+                True),
+}
+
+
+def _route_grid(real):
+    rng = np.random.default_rng(21)
+    arr = rng.normal(size=(64, 64))
+    if not real:
+        arr = arr + 1j * rng.normal(size=(64, 64))
+    return GridFunction((64, 64), (L, L), arr)
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_KINDS))
+@pytest.mark.parametrize("real", [True, False])
+def test_apply_matches_plain_complex_transform(kind, real):
+    sym, _ = ROUTE_KINDS[kind]
+    f = _route_grid(real)
+    m = multiplier.symbol_on_grid(f, sym)
+    plain = np.fft.ifftn(np.fft.fftn(f.samples) * m)
+    out = apply_multiplier(f, sym).samples
+    assert np.linalg.norm(out - plain) <= 1e-13 * np.linalg.norm(plain)
+    if not real and kind != "constant":
+        # complex samples keep the complex path, bit for bit
+        assert np.array_equal(out, plain)
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_KINDS))
+def test_half_spectrum_route_by_kind(kind):
+    sym, half = ROUTE_KINDS[kind]
+    f = _route_grid(True)
+    factor = multiplier._grid_factor(f, sym)
+    assert multiplier._is_half(factor, f.sizes) == half
+    if half:
+        assert factor.shape == (64, 33)
+        assert not apply_multiplier(f, sym).samples.imag.any()
+
+
+@pytest.mark.parametrize("sizes", [(16,), (8, 16), (16, 8)])
+def test_full_spectrum_rebuilds_the_grid_values(sizes):
+    f = GridFunction(sizes, (L,) * len(sizes), np.zeros(sizes))
+    sym = (lm.Riesz2Symbol(1, 1) if len(sizes) == 1
+           else lm.RieszComboSymbol([0.25, -1.0]))
+    m = multiplier.symbol_on_grid(f, sym)
+    half = multiplier._grid_factor(f, sym)
+    assert np.array_equal(multiplier._full_spectrum(half, sizes), m)
+
+
+def test_forcing_the_half_route_moves_the_riesz_pair(monkeypatch):
+    # the symmetry test carries weight: on a box indicator, the half spectrum
+    # of the mixed pair misreads its Nyquist line (odd side lengths give the
+    # box nonzero Nyquist coefficients)
+    arr = np.zeros((64, 64))
+    arr[10:31, 5:42] = 1.0
+    f = GridFunction((64, 64), (L, L), arr)
+    sym = lm.RieszPairSymbol(1, 2, 2)
+    honest = apply_multiplier(f, sym).samples
+    monkeypatch.setattr(multiplier, "_conj_symmetric", lambda m: True)
+    forced = apply_multiplier(f, sym).samples
+    assert np.linalg.norm(forced - honest) > 1e-8 * np.linalg.norm(honest)
+
+
 def test_dimension_mismatch():
     f = sin_grid(64)
     with pytest.raises(InvalidInputError):
@@ -250,6 +334,38 @@ def test_bump_l1_close_to_analytic():
     f = GridFunction((n, n), (L, L), arr)
     target = (np.sqrt(2 * np.pi) * w) ** 2
     assert lp_norm(f, 1.0) == pytest.approx(target, rel=1e-2)
+
+
+def _meshgrid_periodic_r2(sizes, period, center):
+    """Squared periodic distance over full coordinate meshgrids (oracle)."""
+    axes = [np.arange(n) * (P / n) for n, P in zip(sizes, period)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    r2 = np.zeros(grids[0].shape)
+    for g, c, P in zip(grids, center, period):
+        dx = np.remainder(g - c + P / 2, P) - P / 2
+        r2 += dx * dx
+    return r2
+
+
+@pytest.mark.parametrize("sizes, period", [((256,), (L,)), ((4096,), (3.0,)),
+                                           ((64, 128), (L, 2.5))])
+def test_periodic_r2_equals_meshgrid_oracle(sizes, period):
+    rng = np.random.default_rng(len(sizes) * sizes[0])
+    for _ in range(20):
+        center = rng.uniform(-1.0, 2.0, size=len(sizes)) * np.array(period)
+        assert np.array_equal(corpus_mod._periodic_r2(sizes, period, center),
+                              _meshgrid_periodic_r2(sizes, period, center))
+
+
+def test_acceptance_corpus_keeps_its_bytes():
+    # the digest of the 40-member 256^2 corpus built from full meshgrids
+    # (numpy 2.4, x86-64); per-axis distances must not move a bit
+    corpus, _ = build_corpus(CorpusConfig(d=2, n=256, count=40, seed=20240808))
+    digest = hashlib.sha256()
+    for f in corpus:
+        digest.update(f.samples.tobytes())
+    assert digest.hexdigest() == ("0f141b7c852b4dd2d7be92ba28f1bf2a"
+                                  "5e429213b59053172ea7d568ed905553")
 
 
 @pytest.mark.parametrize("bump", [gaussian_bump, cosine_bump])
@@ -326,6 +442,22 @@ def test_sweep_equals_per_symbol_reference():
         assert got == _reference_sweep(sym, corpus, p_list, ids)
     # the identity keeps its FFT-free path: every ratio is exactly 1
     assert [r.max_ratio for r in sweeps[0]] == [1.0, 1.0, 1.0]
+
+
+def test_sweep_with_complex_member_equals_reference():
+    # a complex member takes the complex path under every symbol, also under
+    # one kept as a half spectrum
+    corpus, ids = build_corpus(CorpusConfig(d=2, n=64, count=4, seed=5))
+    corpus.append(corpus[1].with_samples(corpus[1].samples * (0.6 + 0.8j)
+                                         + 0.3j * corpus[2].samples))
+    ids.append("complex")
+    symbols = [lm.Riesz2Symbol(1, 2), lm.RieszPairSymbol(1, 2, 2)]
+    sweeps = norm_ratio_sweep(symbols, corpus, [4 / 3, 3.0], ids)
+    assert sweeps.half_spectrum_symbols == 1
+    assert sorted(sweeps.seconds) == ["norms", "sweep", "symbols"]
+    for sym, rows in zip(symbols, sweeps):
+        assert [(r.max_ratio, r.argmax_id) for r in rows] == \
+            _reference_sweep(sym, corpus, [4 / 3, 3.0], ids)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
