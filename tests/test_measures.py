@@ -185,10 +185,36 @@ def test_psi_even_and_nonpositive(xi):
     assert a <= 0.0
 
 
+def _radial_integral_quad(b: float, alpha: float, eps: float, outer: float,
+                          tol: float = 1e-10) -> float:
+    """Quadrature version of the radial integral (scalar b).
+
+    An infinite window splits at r = 1 scale and uses an oscillatory-weight
+    rule for the tail; a finite window uses that rule throughout.  Slower
+    than the series route but independent of it.
+    """
+    if b == 0.0:
+        return 0.0
+    if math.isinf(outer):
+        split = max(eps * 2, 2 * math.pi / b)
+        core, _ = integrate.quad(
+            lambda r: (math.cos(b * r) - 1.0) * r ** (-1.0 - alpha),
+            eps, split, epsabs=tol / 4, limit=400)
+        tail_cos = integrate.quad(
+            lambda r: r ** (-1.0 - alpha), split, np.inf,
+            weight="cos", wvar=b, epsabs=tol / 4, limit=400)[0]
+        tail_one = -(split ** (-alpha)) / alpha
+        return core + tail_cos + tail_one
+    cos_part = integrate.quad(
+        lambda r: r ** (-1.0 - alpha), eps, outer,
+        weight="cos", wvar=b, epsabs=tol, limit=400)[0]
+    return cos_part - (eps ** (-alpha) - outer ** (-alpha)) / alpha
+
+
 def test_radial_series_and_quadrature_paths_agree():
-    # the vectorised series route and the adaptive-quadrature route are
-    # independent implementations of the same truncated radial integral
-    from levymult.measures import _radial_integral, _radial_integral_quad
+    # the library's series route and this file's adaptive-quadrature oracle
+    # are independent implementations of the same truncated radial integral
+    from levymult.measures import _radial_integral
 
     for (b, alpha, eps, outer) in ((1.7, 1.3, 1e-2, np.inf),
                                    (5.0, 0.5, 1e-1, np.inf),
@@ -210,19 +236,16 @@ def _per_direction(measure, phi, xi):
     psi_phi = np.zeros(pts.shape[0], dtype=complex)
     for i, w in enumerate(measure.angular_weights):
         r = _radial_integral(proj[:, i], measure.alpha, measure.epsilon,
-                             measure.outer_radius, 1e-10)
+                             measure.outer_radius)
         psi += w * r
         psi_phi += w * phi[i] * r
     return np.minimum(psi, 0.0), psi_phi
 
 
-@pytest.mark.parametrize("offset, integrals", [(0.0, 2), (1e-13, 3)])
-def test_mirrored_directions_share_one_radial_integral(monkeypatch, offset,
-                                                       integrals):
-    # theta and -theta share |xi . theta|, so the integral is computed once;
-    # a mirror that is only within the atom tolerance is integrated apart
-    from levymult import measures
-
+@pytest.mark.parametrize("offset, columns", [(0.0, 2), (1e-13, 3)])
+def test_mirrored_directions_share_one_radial_integral(offset, columns):
+    # theta and -theta share |xi . theta| and so its radial integral; a
+    # mirror that is only within the atom tolerance has a column of its own
     t = 0.3
     dirs = np.array([[np.cos(t), np.sin(t)], [-np.cos(t), -np.sin(t) + offset],
                      [0.0, 1.0], [0.0, -1.0]])
@@ -231,21 +254,18 @@ def test_mirrored_directions_share_one_radial_integral(monkeypatch, offset,
                                   (0.0, 1.0): -1.0, (0.0, -1.0): -1.0})
     xi = np.stack(np.meshgrid(np.linspace(-40, 40, 9), np.linspace(-40, 40, 9),
                               indexing="ij"), axis=-1)  # b*eps < 3: series path
+    proj = np.abs(xi.reshape(-1, 2) @ dirs.T)
+    assert len({col.tobytes() for col in proj.T}) == columns
     psi_ref, psi_phi_ref = _per_direction(m, mod.validate_on(m), xi)
-    calls = []
-    radial = measures._radial_integral
-    monkeypatch.setattr(measures, "_radial_integral",
-                        lambda *a: calls.append(1) or radial(*a))
     psi = lm.char_exponent(m, xi).ravel()
     psi_phi = lm.modulated_exponent(m, mod, xi).ravel()
     assert np.array_equal(psi, psi_ref)
     assert np.array_equal(psi_phi, psi_phi_ref)
-    assert len(calls) == 2 * integrals
 
 
 def test_zero_weight_directions_are_not_integrated(monkeypatch):
-    # phi = 0 on the second axis: psi_phi integrates the first axis only
-    # (its mirror reuses it), and the skipped +-0.0 terms change no value
+    # phi = 0 on the second axis: psi_phi integrates the first axis' two
+    # directions only, and the skipped +-0.0 terms change no value
     from levymult import measures
 
     m = lm.TruncatedStableMeasure.axes(2, alpha=1.3, epsilon=0.05)
@@ -260,54 +280,27 @@ def test_zero_weight_directions_are_not_integrated(monkeypatch):
     psi_phi = lm.modulated_exponent(m, mod, xi).ravel()
     assert np.array_equal(psi_phi, psi_phi_ref)
     assert np.array_equal(np.signbit(psi_phi.imag), np.signbit(psi_phi_ref.imag))
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], np.abs(xi[..., 0]).ravel())
-
-
-def _per_point_radial_integral(b, alpha, eps, outer, tol=1e-10):
-    """The radial integral with one quadrature per point past the series
-    edge: the per-point oracle for the once-per-distinct-value route."""
-    from levymult.measures import (_inner_correction, _radial_integral_quad,
-                                   stable_power_coefficient)
-
-    b = np.asarray(b, dtype=float)
-    scalar = b.ndim == 0
-    b = np.atleast_1d(b)
-    c = stable_power_coefficient(alpha)
-    out = np.empty_like(b)
-    edge = 25.0
-    easy = b * eps <= edge
-    if math.isinf(outer):
-        full = c * np.abs(b[easy]) ** alpha
-        out[easy] = full - _inner_correction(b[easy], alpha, eps)
-    else:
-        easy &= b * outer <= edge
-        out[easy] = (_inner_correction(b[easy], alpha, outer)
-                     - _inner_correction(b[easy], alpha, eps))
-    for i in np.nonzero(~easy)[0]:
-        out[i] = _radial_integral_quad(float(b[i]), alpha, eps, outer, tol)
-    return out[0] if scalar else out
+    assert len(calls) == 2
+    for b in calls:
+        assert np.array_equal(b, np.abs(xi[..., 0]).ravel())
 
 
 @pytest.mark.parametrize("outer", [math.inf, 4.0])
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9])
 def test_radial_integral_once_per_distinct_value_equals_per_point(alpha, outer):
-    # eps = 0.1 puts the series edge at b = 250 (and at b = 6.25 for the
+    # eps = 0.1 puts the series edge at b = 100 (and at b = 2.5 for the
     # finite window); each value repeats, in no particular order
     from levymult.measures import _radial_integral
 
     rng = np.random.default_rng(7)
-    values = np.array([0.0, 0.5, 3.0, 6.0, 6.5, 40.0, 249.0, 250.0, 251.0,
+    values = np.array([0.0, 0.5, 2.5, 3.0, 40.0, 99.0, 100.0, 101.0, 250.0,
                        300.0, 731.5])
     b = rng.permutation(np.repeat(values, 6)).reshape(6, 11)
     out = _radial_integral(b, alpha, 0.1, outer)
     assert out.shape == b.shape
-    assert np.array_equal(out.ravel(),
-                          _per_point_radial_integral(b.ravel(), alpha, 0.1, outer))
-    for x in (0.0, 3.0, 300.0):
-        got = _radial_integral(x, alpha, 0.1, outer)
-        assert np.ndim(got) == 0
-        assert got == _per_point_radial_integral(x, alpha, 0.1, outer)
+    alone = [_radial_integral(x, alpha, 0.1, outer) for x in b.ravel()]
+    assert all(np.ndim(x) == 0 for x in alone)
+    assert np.array_equal(out.ravel(), alone)
 
 
 def test_radial_integral_keeps_shape_of_input():
@@ -319,20 +312,22 @@ def test_radial_integral_keeps_shape_of_input():
 
 
 def test_radial_integral_value_does_not_depend_on_its_batch():
-    # the series' iteration floor is per value: a batch reaching b*eps = 25
-    # gives every value the bits of a call on that value alone
+    # the series' iteration floor and the contour's node sum are per value:
+    # a batch on both sides of the edge gives every value the bits of a
+    # call on that value alone
     from levymult.measures import _radial_integral
 
-    b = np.linspace(0.0, 25.0, 2000)
-    batch = _radial_integral(b, 1.9, 1.0, math.inf)
-    alone = np.array([_radial_integral(x, 1.9, 1.0, math.inf) for x in b])
-    assert np.array_equal(batch, alone)
+    b = np.linspace(0.0, 60.0, 2000)
+    for outer in (math.inf, 4.0):
+        batch = _radial_integral(b, 1.9, 1.0, outer)
+        alone = np.array([_radial_integral(x, 1.9, 1.0, outer) for x in b])
+        assert np.array_equal(batch, alone)
 
 
 def test_grid_symbol_integrates_each_distinct_projection_once(monkeypatch):
     # on a 64^2 grid with period 2 pi, |xi . theta| = |k| takes 33 values,
-    # of which 26..32 pass the edge b * eps = 25: psi integrates 2 columns
-    # and psi_phi 1, so 3 * 7 quadratures (one per point: 3 * 832)
+    # of which 11..32 pass the edge b * eps = 10: each contour call gets
+    # those 22 values once, not the 832 points that carry them
     from levymult import measures
 
     g = lm.GridFunction.from_callable(lambda x, y: np.cos(x) * np.sin(y),
@@ -340,36 +335,71 @@ def test_grid_symbol_integrates_each_distinct_projection_once(monkeypatch):
     sym = lm.GeneralSymbol(lm.TruncatedStableMeasure.axes(2, 1.0, 1.0),
                            lm.JumpModulator.axis_indicator(1))
     calls = []
-    quad = measures._radial_integral_quad
-    monkeypatch.setattr(measures, "_radial_integral_quad",
-                        lambda *a: calls.append(a[0]) or quad(*a))
-    vals = sym.evaluate(-g.frequencies())
-    assert len(calls) == 21
-    assert sorted(set(calls)) == pytest.approx(range(26, 33), rel=1e-15)
-    calls.clear()
-    monkeypatch.setattr(measures, "_radial_integral", _per_point_radial_integral)
-    ref = sym.evaluate(-g.frequencies())
-    assert len(calls) == 3 * 832
-    assert np.array_equal(vals, ref)
+    tail = measures._contour_tail
+    monkeypatch.setattr(measures, "_contour_tail",
+                        lambda a, alpha: calls.append(a) or tail(a, alpha))
+    sym.evaluate(-g.frequencies())
+    assert len(calls) == 6  # psi's four directions and psi_phi's two
+    for a in calls:
+        assert a.tolist() == pytest.approx(range(11, 33), rel=1e-15)
+
+
+@pytest.mark.parametrize("b, alpha, eps, ref", [
+    # mpmath at 40 digits, through the incomplete gamma function
+    (1000.0, 0.5, 10.0, -0.6324458721749613),
+    (25.0, 1.9, 1.0, -0.5166466001533804),
+    (20.0, 1.0, 1.0, -1.0430104532157436),
+    (17.0, 0.3, 1.0, -3.2785471789689544)])
+def test_radial_integral_past_the_edge_against_mpmath(b, alpha, eps, ref):
+    # the old routes were 3.3e-5 (quadrature) and 6.8e-8, 1.1e-10, 3.5e-12
+    # (series) relative off at these points
+    from levymult.measures import _radial_integral
+
+    assert _radial_integral(b, alpha, eps, math.inf) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("b, alpha, eps, outer, ref", [
     # mpmath at 25+ digits, panels split at every cosine zero
     (1000.0, 0.5, 1e-2, 10.0, -18.958249285232836),
-    (5000.0, 1.5, 1e-2, 20.0, -660.47093233569959)])
+    (5000.0, 1.5, 1e-2, 20.0, -660.47093233569959),
+    # mpmath at 40 digits, through the incomplete gamma function
+    (3.0, 1.3, 1.0, 10.0, -0.894415130915052)])
 def test_finite_window_quadrature_at_large_b_outer(b, alpha, eps, outer, ref):
-    from levymult.measures import _radial_integral, _radial_integral_quad
+    from levymult.measures import _radial_integral
 
     assert _radial_integral_quad(b, alpha, eps, outer) == pytest.approx(ref, rel=1e-12)
     assert _radial_integral(b, alpha, eps, outer) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("outer", [math.inf, 8.0])
+def test_no_quadrature_runs_in_the_exponents(monkeypatch, outer):
+    # |k| * eps reaches 32 and |k| * outer 256 on the grid: both sides of
+    # the edge are evaluated, and none of it may call scipy's quad
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    g = lm.GridFunction.from_callable(lambda x, y: np.cos(x) * np.sin(y),
+                                      (64, 64), (2 * np.pi, 2 * np.pi))
+    xi = -g.frequencies()
+    m = lm.TruncatedStableMeasure.axes(2, 1.3, 1.0, outer)
+    mod = lm.JumpModulator.axis_indicator(1)
+    psi = lm.char_exponent(m, xi)
+    psi_phi = lm.modulated_exponent(m, mod, xi)
+    vals = lm.GeneralSymbol(m, mod).evaluate(xi)
+    assert np.all(np.isfinite(psi)) and np.all(psi <= 0)
+    assert np.all(np.isfinite(psi_phi)) and np.all(np.isfinite(vals))
 
 
 def test_inner_series_raises_when_it_cannot_converge():
     from levymult.exceptions import ConvergenceError
     from levymult.measures import _inner_correction
 
-    # at b*eps = 25, the edge the radial integral enforces, it converges
-    assert np.isfinite(_inner_correction(np.array([25.0]), 1.0, 1.0)).all()
+    # at b*eps = 10, the edge the radial integral enforces, it converges,
+    # and still at 25
+    assert np.isfinite(_inner_correction(np.array([10.0, 25.0]), 1.0, 1.0)).all()
     with pytest.raises(ConvergenceError) as exc:
         _inner_correction(np.array([1.0, 200.0]), 1.0, 1.0)
     assert exc.value.estimate.shape == (2,)
