@@ -33,7 +33,7 @@ import numpy as np
 BLOCK = 1 << 16  # events x modes per block: bounds memory whatever n_paths is
 
 
-def _walk(sizes, atom_steps, start, offsets, aidx):
+def walk(sizes, atom_steps, start, offsets, aidx):
     """Lattice coordinates (J, d) after every jump, each path started at
     ``start``: an integer cumsum of the steps, restarted at each path's
     first jump."""
@@ -98,7 +98,7 @@ def _events(sizes, atom_steps, start, u, offsets, times, aidx, checkpoints):
     off = offsets + np.arange(n_paths + 1) * tail.shape[0]
     # jumps stay in packed order, so a running count names the latest one;
     # index -1 is the start, for events before the path's first jump
-    coords = np.vstack([_walk(sizes, atom_steps, start, offsets, aidx),
+    coords = np.vstack([walk(sizes, atom_steps, start, offsets, aidx),
                         start])
     last = np.cumsum(kind == 0) - 1
     first = offsets[path]
@@ -233,38 +233,8 @@ def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
     return rows
 
 
-def levy_ensemble(sizes, h, atom_steps, s, counts, offsets, times, aidx,
-                  fid, p1, p2):
-    """Per-path sums over the jumps of F(S_i, X_{S_i-}, X_{S_i}).
-
-    The shipped bounded functionals F(v, y, y+z):
-
-    0: 1
-    1: indicator that the jump is atom number p1
-    2: jump coordinate z_j, j = p1 (1-based)
-    3: (v - s) * z_j
-    4: cos(2 pi y_j / p2) * z_j   (p2 = lattice period along j)
-    """
-    n_paths = counts.shape[0]
-    path = np.repeat(np.arange(n_paths), counts)
-    if fid == 0:
-        values = np.ones(times.shape[0])
-    elif fid == 1:
-        values = (aidx == int(p1)).astype(np.float64)
-    else:
-        j = int(p1) - 1
-        steps = atom_steps[aidx, j]
-        z = steps * h
-        if fid == 2:
-            values = z
-        elif fid == 3:
-            values = (times - s) * z
-        else:
-            start = np.zeros(sizes.shape[0], np.int64)
-            before = _walk(sizes, atom_steps, start, offsets, aidx)[:, j] \
-                - steps
-            n = sizes[j]
-            y = ((before + n // 2) % n - n // 2) * h
-            values = np.cos(2.0 * np.pi * y / p2) * z
-    # bincount adds in jump order, as a per-path loop would
-    return np.bincount(path, weights=values, minlength=n_paths)
+def levy_ensemble(counts, values):
+    """Per-path sums of the per-jump ``values`` (packed in path order), each
+    path's jumps added in time order, as a per-path loop would add them."""
+    path = np.repeat(np.arange(counts.shape[0]), counts)
+    return np.bincount(path, weights=values, minlength=counts.shape[0])

@@ -196,8 +196,8 @@ def _auto_images(n: int) -> int:
     return 6
 
 
-def kernel_weight_table(sizes, period, rho: float, images: int | None = None,
-                        orientation: int = 1) -> np.ndarray:
+def kernel_weight_table(sizes, period, rho: float,
+                        images: int | None = None) -> np.ndarray:
     """Midpoint-sampled, periodised kernel weights with the cutoff ball removed.
 
     Entry (i, j) holds cellarea * sum_images K(offset + m L), the cyclic
@@ -218,8 +218,6 @@ def kernel_weight_table(sizes, period, rho: float, images: int | None = None,
     (-m1, -m2) fill the four quadrants.  For even n the offset -n/2 h has no
     mirror; its row (column) is sampled directly, like row 0.
     """
-    if orientation not in (1, 2):
-        raise InvalidInputError("orientation must be 1 or 2")
     if len(sizes) != 2 or len(period) != 2:
         raise InvalidInputError("kernel_weight_table needs 2-d sizes and period")
     if not rho >= 0:
@@ -248,8 +246,7 @@ def kernel_weight_table(sizes, period, rho: float, images: int | None = None,
             x, y = X[:, r:r + rows, None], Y[:, None, c:c + cols]
             V = np.empty((A, A, x.shape[1], y.shape[2]))
             for a in range(A):
-                V[a] = (kernel_closed_form(x[a], y) if orientation == 1
-                        else kernel_closed_form(y, x[a]))
+                V[a] = kernel_closed_form(x[a], y)
             acc = Q[:, r:r + rows, c:c + cols]
             for a in range(A):
                 for b in range(A):
@@ -277,12 +274,15 @@ def pv_convolve(f: GridFunction, rho: float, orientation: int = 1,
     see.  As rho -> 0 and the grid refines, the result approaches the
     spectral application of |xi_j| / (|xi_1| + |xi_2|) with j = orientation.
     """
+    if orientation not in (1, 2):
+        raise InvalidInputError("orientation must be 1 or 2")
     if f.d != 2:
         raise InvalidInputError("pv_convolve requires a 2-d grid")
     min_cell = min(L / n for L, n in zip(f.period, f.sizes))
     if rho < min_cell:
         raise InvalidInputError("cutoff radius is smaller than a grid cell")
-    W = kernel_weight_table(f.sizes, f.period, rho, images, orientation)
+    W = kernel_weight_table(f.sizes, f.period, rho, images)
     spectra = _Spectra(f)  # W is real: real f takes the real transforms
     conv = spectra.apply(np.fft.rfftn(W) if spectra.real else np.fft.fftn(W))
-    return f.with_samples(0.5 * f.samples - conv)
+    half = 0.5 * f.samples  # orientation 2 swaps K's args: K(y, x) = -K(x, y)
+    return f.with_samples(half + conv if orientation == 2 else half - conv)

@@ -665,16 +665,19 @@ def measure_from_dict(doc: dict):
         kind = doc["kind"]
         atoms = [(np.array([_num(c) for c in a["z"]]), _num(a["w"]))
                  for a in doc["atoms"]]
+        if kind == "discrete":
+            return DiscreteLevyMeasure.from_atoms(atoms)
+        if kind == "stable":
+            outer = doc.get("outer_radius")
+            return TruncatedStableMeasure(
+                _num(doc["alpha"]), _num(doc["epsilon"]),
+                np.vstack([z for z, _ in atoms]),
+                np.array([w for _, w in atoms]),
+                math.inf if outer is None else _num(outer))
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, InvalidInputError):
+            raise
         raise InvalidInputError(f"malformed measure document: {exc}") from exc
-    if kind == "discrete":
-        return DiscreteLevyMeasure.from_atoms(atoms)
-    if kind == "stable":
-        outer = doc.get("outer_radius")
-        return TruncatedStableMeasure(
-            _num(doc["alpha"]), _num(doc["epsilon"]),
-            np.vstack([z for z, _ in atoms]), np.array([w for _, w in atoms]),
-            math.inf if outer is None else _num(outer))
     raise InvalidInputError(f"unknown measure kind {kind!r}")
 
 

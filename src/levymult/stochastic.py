@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -368,43 +368,65 @@ def subordination_check(res: EnsembleResult) -> SubordinationResult:
 # the jump-compensation (Levy system) identity
 # ---------------------------------------------------------------------------
 
-# name -> (functional id of core.levy_ensemble, p1): p1 is the atom index
-# for id 1 and the 1-based axis j for ids 2-4
+class Jumps(NamedTuple):
+    """An ensemble's jumps in packed order: times v, atoms, and the integer
+    coordinates y before each jump (walks from 0) and steps z, (J, d) each."""
+
+    v: np.ndarray
+    atom: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+
+class LevyFunctional(NamedTuple):
+    """F(v, y, y + z) at every jump, ``value(lat, s, jumps)``, and its exact
+    compensator int_s^t sum_a w_a E F(v, X_{v-}, X_{v-} + z_a) dv,
+    ``compensator(lat, t - s)``."""
+
+    value: Callable
+    compensator: Callable
+
+
+def _jump_coord(lat, s, jp):
+    return jp.z[:, 0] * lat.h
+
+
+def _mean_jump(lat):
+    # fsum cancels mirrored atoms exactly, so m = 0 for symmetric measures
+    return math.fsum(lat.weights * lat.atom_steps[:, 0] * lat.h)
+
+
+def _position_cos_value(lat, s, jp):
+    n = lat.sizes[0]  # y_1 centred before the cosine
+    y = ((jp.y[:, 0] + n // 2) % n - n // 2) * lat.h
+    return np.cos(2.0 * np.pi * y / (n * lat.h)) * _jump_coord(lat, s, jp)
+
+
+def _position_cos_compensator(lat, span):
+    """m Re int_0^span e^{v c} dv = m int_0^span E cos(theta X_1) dv, with
+    c = sum_a w_a (e^{i theta z_a1} - 1) at theta = 2 pi / n_1 (psi_1, the
+    lattice exponent, for a symmetric measure)."""
+    m = _mean_jump(lat)
+    c = complex(lat.weights @ np.expm1(2j * np.pi * lat.atom_steps[:, 0]
+                                       / lat.sizes[0]))
+    return m * span if c == 0.0 else m * float((np.expm1(span * c) / c).real)
+
+
+# the shipped functionals, all bounded on the lattice, in the check's row order
 LEVY_FUNCTIONALS = {
-    "ones": (0, 0),
-    "jump_is_atom0": (1, 0),
-    "jump_coord_1": (2, 1),
-    "time_weighted_jump_1": (3, 1),
-    "position_cos_jump_1": (4, 1),
+    "ones": LevyFunctional(lambda lat, s, jp: np.ones(jp.v.shape[0]),
+                           lambda lat, span: lat.total_rate * span),
+    "jump_is_atom0": LevyFunctional(
+        lambda lat, s, jp: (jp.atom == 0).astype(np.float64),
+        lambda lat, span: float(lat.weights[0]) * span),
+    "jump_coord_1": LevyFunctional(
+        _jump_coord, lambda lat, span: _mean_jump(lat) * span),
+    "time_weighted_jump_1": LevyFunctional(
+        lambda lat, s, jp: (jp.v - s) * _jump_coord(lat, s, jp),
+        lambda lat, span: _mean_jump(lat) * span ** 2 / 2.0),
+    "position_cos_jump_1": LevyFunctional(_position_cos_value,
+                                          _position_cos_compensator),
 }
-
-
-def _levy_compensator(lat: PeriodicLattice, fid: int, p1: int,
-                      span: float) -> float:
-    """Exact int_s^t sum_a w_a E F(v, X_{s,v-}, X_{s,v-} + z_a) dv, t - s = span.
-
-    With m_j = sum_a w_a z_aj, the jump-coordinate functionals integrate
-    m_j and m_j (v - s); the cosine one integrates m_j E cos(theta X_j) =
-    m_j Re e^{(v-s) c_j}, where c_j = sum_a w_a (e^{i theta z_aj} - 1) at the
-    unit frequency theta = 2 pi / n_j of axis j (c_j = psi_j, the lattice
-    exponent, for a symmetric measure).
-    """
-    if fid == 0:
-        return lat.total_rate * span
-    if fid == 1:
-        return float(lat.weights[p1]) * span
-    j = p1 - 1
-    # fsum cancels mirrored atoms exactly, so m_j = 0 for symmetric measures
-    m = math.fsum(lat.weights * lat.atom_steps[:, j] * lat.h)
-    if fid == 2:
-        return m * span
-    if fid == 3:
-        return m * span ** 2 / 2.0
-    c = complex(lat.weights @ np.expm1(2j * np.pi * lat.atom_steps[:, j]
-                                       / lat.sizes[j]))
-    if c == 0.0:
-        return m * span
-    return m * float((np.expm1(span * c) / c).real)
 
 
 @dataclass
@@ -426,26 +448,30 @@ class LevySystemRow:
             abs(self.lhs - self.rhs) <= 1e-12
 
 
+def _sample_jumps(lat: PeriodicLattice, window, n_paths: int, seed: int):
+    """Per-path jump counts and the Jumps of an ensemble."""
+    counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed)
+    z = lat.atom_steps[aidx]
+    y = core.walk(lat.sizes, lat.atom_steps, 0, offsets, aidx) - z
+    return counts, Jumps(times, aidx, y, z)
+
+
 def levy_system_check(lat: PeriodicLattice, window, n_paths: int, seed: int,
                       functionals=None) -> list[LevySystemRow]:
     """Monte Carlo jump sums against the compensator integral, per functional."""
     s, t = window
-    counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed)
+    counts, jumps = _sample_jumps(lat, window, n_paths, seed)
     rows = []
-    names = functionals if functionals is not None else list(LEVY_FUNCTIONALS)
-    for name in names:
+    for name in functionals if functionals is not None else LEVY_FUNCTIONALS:
         if name not in LEVY_FUNCTIONALS:
             raise InvalidInputError(
                 f"unknown functional {name!r}; the shipped library has "
                 f"{sorted(LEVY_FUNCTIONALS)} (all bounded on the lattice)")
-        fid, p1 = LEVY_FUNCTIONALS[name]
-        period = lat.sizes[p1 - 1] * lat.h if fid == 4 else 0.0
-        sums = core.levy_ensemble(np.asarray(lat.sizes, dtype=np.int64), lat.h,
-                                  lat.atom_steps, float(s), counts, offsets,
-                                  times, aidx, fid, float(p1), float(period))
-        mean, se = _mean_se(sums)
-        rhs = _levy_compensator(lat, fid, p1, t - s)
-        rows.append(LevySystemRow(name, float(mean), float(se), rhs))
+        fn = LEVY_FUNCTIONALS[name]
+        mean, se = _mean_se(core.levy_ensemble(
+            counts, fn.value(lat, float(s), jumps)))
+        rows.append(LevySystemRow(name, float(mean), float(se),
+                                  fn.compensator(lat, t - s)))
     return rows
 
 
@@ -556,10 +582,9 @@ def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     s, t = window
     f = np.asarray(f, dtype=complex).ravel()
     norm1 = float(np.abs(f).sum() * lat.h ** lat.d)
-    counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed)
+    counts, _, _, aidx = sample_ensemble(lat, window, n_paths, seed)
     abs_phi = np.abs(lat.phi)
-    csum = np.concatenate([[0.0], np.cumsum(abs_phi[aidx])])
-    per_path = csum[offsets[1:]] - csum[offsets[:-1]]
+    per_path = core.levy_ensemble(counts, abs_phi[aidx])
     modulated_rate = float((lat.weights * abs_phi).sum())
     comp_part = (t - s) * modulated_rate
     values = 2.0 * norm1 * (per_path + comp_part)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 from scipy import integrate
 
@@ -91,10 +91,16 @@ def test_homogeneity_pinned():
 @settings(max_examples=30, deadline=None)
 @given(st_.floats(0.05, 20.0), st_.floats(0.05, 20.0),
        st_.sampled_from([2.0, 10.0, 1 / 3]))
+@example(0.05, 0.05000000000000001, 10.0)
 def test_homogeneity_random(x, y, h):
     a = lm.kernel_closed_form(h * x, h * y) * h * h
     b = lm.kernel_closed_form(x, y)
-    assert a == pytest.approx(b, rel=1e-12, abs=1e-18)
+    # h x and h y round separately, so near the diagonal, where K is odd and
+    # O(1/r^2) steep, the scaled point sits a few ulps off in q and K moves
+    # by up to its roundoff floor 4 eps / (3 pi^2 (x^2 + y^2))
+    floor = 4 * np.finfo(float).eps / (3 * PI2 * (x * x + y * y))
+    assert a == pytest.approx(b, rel=1e-12, abs=floor)
+    assert lm.kernel_closed_form(x, x) == 0.0
 
 
 def test_closed_vs_numeric_on_log_grid():
@@ -313,11 +319,24 @@ def test_pv_two_orientations_sum_to_identity():
 
 
 def test_pv_swapped_table_is_negated():
-    W1 = kernel_weight_table((32, 32), (L, L), 2 * L / 32, images=1,
-                             orientation=1)
-    W2 = kernel_weight_table((32, 32), (L, L), 2 * L / 32, images=1,
-                             orientation=2)
-    assert np.abs(W1 + W2).max() < 1e-16
+    # orientation 2 needs no table of its own: K(y, x) = -K(x, y) bit for
+    # bit, also near the axes and the diagonal, so its table is exactly -W
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-8, 8, 4000), [1.0, 1e-9, 2e-5, 0.3]])
+    y = np.concatenate([rng.uniform(-8, 8, 4000),
+                        [1e-8, 1.0, 1.0, 0.30000000000000004]])
+    assert np.array_equal(lm.kernel_closed_form(y, x),
+                          -lm.kernel_closed_form(x, y))
+    W = kernel_weight_table((32, 32), (L, L), 2 * L / 32, images=1)
+    W2 = reference_weight_table((32, 32), (L, L), 2 * L / 32, 1, 2)
+    assert np.array_equal(W2, -W)
+
+
+@pytest.mark.parametrize("orientation", [0, 3, 1.5])
+def test_pv_rejects_bad_orientation(orientation):
+    f = smooth_test_function(16)
+    with pytest.raises(InvalidInputError):
+        lm.pv_convolve(f, rho=2 * L / 16, orientation=orientation)
 
 
 def reference_weight_table(sizes, period, rho, images, orientation):
@@ -353,7 +372,11 @@ TABLE_CASES = (
 @pytest.mark.parametrize("sizes, period, rho, images", TABLE_CASES)
 def test_weight_table_bitwise_equals_image_loop(sizes, period, rho, images,
                                                 orientation):
-    W = kernel_weight_table(sizes, period, rho, images, orientation)
+    # the swapped-K loop of orientation 2 is -W; adding +0.0 turns the -0.0
+    # of the negated cutoff cells into the loop's +0.0 and changes no other bit
+    W = kernel_weight_table(sizes, period, rho, images)
+    if orientation == 2:
+        W = -W + 0.0
     ref = reference_weight_table(sizes, period, rho, images, orientation)
     assert W.tobytes() == ref.tobytes()
 
@@ -409,10 +432,9 @@ def test_weight_table_peak_memory():
 
 @pytest.mark.parametrize("change", [
     {"images": -1}, {"sizes": (8, 8, 8)}, {"period": (L, L, L)},
-    {"rho": -0.5}, {"rho": math.nan}, {"orientation": 3}])
+    {"rho": -0.5}, {"rho": math.nan}])
 def test_weight_table_rejects_bad_inputs(change):
-    args = {"sizes": (8, 8), "period": (L, L), "rho": 0.5, "images": 1,
-            "orientation": 1}
+    args = {"sizes": (8, 8), "period": (L, L), "rho": 0.5, "images": 1}
     args.update(change)
     with pytest.raises(InvalidInputError):
         kernel_weight_table(**args)

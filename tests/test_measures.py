@@ -588,3 +588,32 @@ def test_malformed_documents_raise():
         measure_from_dict({"atoms": []})
     with pytest.raises(InvalidInputError):
         modulator_from_dict({"kind": "constant"})
+
+
+STABLE_DOC = {"kind": "stable", "alpha": 1.0, "epsilon": 0.5,
+              "outer_radius": None,
+              "atoms": [{"z": [1.0], "w": 1.0}, {"z": [-1.0], "w": 1.0}]}
+
+
+@pytest.mark.parametrize("doc", [
+    {k: v for k, v in STABLE_DOC.items() if k != "alpha"},
+    {**STABLE_DOC, "epsilon": "x"},
+    {**STABLE_DOC, "outer_radius": "big"},
+    {**STABLE_DOC, "atoms": []},
+    {"kind": "discrete", "atoms": []},
+    {"kind": "discrete",
+     "atoms": [{"z": [1.0], "w": 1.0}, {"z": [-1.0, 0.0], "w": 1.0}]},
+], ids=["no_alpha", "epsilon_text", "outer_text", "stable_no_atoms",
+        "discrete_no_atoms", "ragged_atoms"])
+def test_malformed_measure_documents_raise_invalid_input(doc):
+    with pytest.raises(InvalidInputError, match="malformed measure document"):
+        measure_from_dict(doc)
+    with pytest.raises(InvalidInputError, match="malformed measure document"):
+        loads_measure(json.dumps(doc))
+
+
+def test_measure_document_keeps_constructor_errors():
+    # a well-formed document with an invalid value reports the constructor's
+    # own message, not a malformed-document one
+    with pytest.raises(InvalidInputError, match="alpha must lie in"):
+        measure_from_dict({**STABLE_DOC, "alpha": 3.0})

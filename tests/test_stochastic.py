@@ -433,23 +433,22 @@ def test_levy_sums_match_direct_sum():
         lat = scn.lattice
         s = scn.window[0]
         n = 32
-        counts, offsets, times, aidx = st.sample_ensemble(lat, scn.window, n,
-                                                          seed=35)
+        counts, jumps = st._sample_jumps(lat, scn.window, n, seed=35)
         paths = [st.sample_path(lat, scn.window, seed=35, path_index=m)
                  for m in range(n)]
-        for fid, p1 in st.LEVY_FUNCTIONALS.values():
-            j = p1 - 1
-            period = lat.sizes[j] * lat.h
-            sums = core.levy_ensemble(
-                np.asarray(lat.sizes, dtype=np.int64), lat.h, lat.atom_steps,
-                s, counts, offsets, times, aidx, fid, float(p1), period)
+        period = lat.sizes[0] * lat.h
+        for name, fn in st.LEVY_FUNCTIONALS.items():
+            sums = core.levy_ensemble(counts, fn.value(lat, s, jumps))
             for m, path in enumerate(paths):
-                y = path.positions()[:-1, j] * lat.h  # before each jump
-                z = path.jumps[:, j] * lat.h
-                direct = [np.ones(path.n_jumps),
-                          (path.atom_indices == p1).astype(float),
-                          z, (path.times - s) * z,
-                          np.cos(2 * np.pi * y / period) * z][fid]
+                y = path.positions()[:-1, 0] * lat.h  # before each jump
+                z = path.jumps[:, 0] * lat.h
+                direct = {
+                    "ones": np.ones(path.n_jumps),
+                    "jump_is_atom0": (path.atom_indices == 0).astype(float),
+                    "jump_coord_1": z,
+                    "time_weighted_jump_1": (path.times - s) * z,
+                    "position_cos_jump_1": np.cos(2 * np.pi * y / period) * z,
+                }[name]
                 assert sums[m] == pytest.approx(direct.sum(), abs=1e-12)
 
 
@@ -676,15 +675,47 @@ def test_levy_system_planar_lattice():
     assert ones.rhs == pytest.approx(3.0 * 0.8, abs=1e-9)
 
 
+def asymmetric_walk():
+    return PeriodicLattice((8,), 1.0, np.array([[1], [-1]]),
+                           np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+
+
 def test_levy_system_asymmetric_measure():
     # a drifting walk: every functional has a nonzero compensator, so the
     # check sees the jump law and the position process, not only symmetry
-    lat = PeriodicLattice((8,), 1.0, np.array([[1], [-1]]),
-                          np.array([2.0, 1.0]), np.array([1.0, 1.0]))
-    rows = st.levy_system_check(lat, (0.0, 1.0), 100000, seed=56)
+    rows = st.levy_system_check(asymmetric_walk(), (0.0, 1.0), 100000,
+                                seed=56)
     for r in rows:
         assert r.rhs != 0.0
         assert r.passed, f"{r.name}: lhs={r.lhs} rhs={r.rhs} se={r.stderr}"
+
+
+def assert_only_row_fails(rows, name):
+    for r in rows:
+        assert r.passed == (r.name != name), (r.name, r.sigmas)
+
+
+@pytest.mark.parametrize("scale", [0.96, 1.04])
+@pytest.mark.parametrize("name", list(st.LEVY_FUNCTIONALS))
+def test_levy_system_catches_a_scaled_compensator(monkeypatch, name, scale):
+    # every right-hand side of the drifting walk is nonzero, so a few percent
+    # off any one of them fails that row alone (5.9 sigmas or more at seed 56)
+    fn = st.LEVY_FUNCTIONALS[name]
+    monkeypatch.setitem(st.LEVY_FUNCTIONALS, name, fn._replace(
+        compensator=lambda lat, span: scale * fn.compensator(lat, span)))
+    rows = st.levy_system_check(asymmetric_walk(), (0.0, 1.0), 100000,
+                                seed=56)
+    assert_only_row_fails(rows, name)
+
+
+def test_levy_system_catches_the_position_after_the_jump(monkeypatch):
+    name = "position_cos_jump_1"
+    fn = st.LEVY_FUNCTIONALS[name]
+    monkeypatch.setitem(st.LEVY_FUNCTIONALS, name, fn._replace(
+        value=lambda lat, s, jp: fn.value(lat, s, jp._replace(y=jp.y + jp.z))))
+    rows = st.levy_system_check(asymmetric_walk(), (0.0, 1.0), 100000,
+                                seed=56)
+    assert_only_row_fails(rows, name)
 
 
 # ---------------------------------------------------------------------------
