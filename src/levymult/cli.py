@@ -170,14 +170,14 @@ def cmd_kernel(args) -> int:
         except FileNotFoundError:
             raise InvalidInputError(f"input grid not found: {spec.get('input')}")
         out = _out_dir(args)
-        from .kernel import pv_convolve
+        from .kernel import pv_convolve, weight_table_meta
 
         g = pv_convolve(f, rho=float(spec["rho"]),
                         orientation=int(spec.get("orientation", 1)),
                         images=spec.get("images"))
         dest = out / spec.get("output", "pv.lmgf")
         write_grid(dest, g)
-        _write_meta(out, args)
+        _write_meta(out, args, weight_table_meta(f.sizes, spec.get("images")))
         print(f"wrote {dest}")
         return 0
     if "points" in cfg:

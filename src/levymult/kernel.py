@@ -16,6 +16,10 @@ a -1/2 point mass at the origin.  Consequently the operator with symbol M is
 
 which is what :func:`pv_convolve` discretises; the swap identity K(y, x) =
 -K(x, y) makes the two axis orientations sum to the identity.
+
+Its weights (:func:`kernel_weight_table`) sample the centre image of the
+cell directly and interpolate the other periodic images' sums from Chebyshev
+nodes, within 1e-12 of the largest weight of the plain sum over images.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ _Q_SERIES = 0.5
 # 5e-13 at 1e-6; there atanh(q) is ln|x| - ln|y| from x^2 and y^2 instead
 _Q_AXIS = 1e-6
 
-# most points per kernel_closed_form call in kernel_weight_table
-_EVAL_BLOCK = 1 << 16
+# Chebyshev nodes per axis for the smooth image sums of kernel_weight_table;
+# 16 leaves ~6e-13 of max|W| on a (63, 65) table, 20 stays below 7e-14
+_CHEB_NODES = 20
 
 
 def cauchy_density(t: float, x) -> np.ndarray | float:
@@ -196,70 +201,102 @@ def _auto_images(n: int) -> int:
     return 6
 
 
+def _resolve_images(sizes, images):
+    """The number of periodic images per side, ``_auto_images`` if None."""
+    if images is None:
+        return _auto_images(max(sizes))
+    if (isinstance(images, bool) or not isinstance(images, numbers.Real)
+            or not float(images).is_integer() or images < 0):
+        raise InvalidInputError(f"images must be a nonnegative integer, got {images!r}")
+    return int(images)
+
+
+def _chebyshev(points, a):
+    """Chebyshev nodes of the first kind on [0, a], and the barycentric
+    matrix B taking values at the nodes to the interpolant at ``points``."""
+    k = np.arange(_CHEB_NODES)
+    theta = (2 * k + 1) * (math.pi / (2 * _CHEB_NODES))
+    nodes = 0.5 * a * (1.0 + np.cos(theta))
+    diff = points[:, None] - nodes
+    hit = diff == 0.0
+    B = (-1.0) ** k * np.sin(theta) / np.where(hit, 1.0, diff)
+    B /= B.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    B[on_node] = hit[on_node]
+    return nodes, B
+
+
+def weight_table_meta(sizes, images=None) -> dict:
+    """What ``kernel_weight_table`` resolves and spends on a grid of ``sizes``:
+    images per side, Chebyshev nodes per axis, kernel evaluations and the
+    table's bytes."""
+    images = _resolve_images(sizes, images)
+    h1, h2 = (n // 2 + 1 for n in sizes)
+    k = 2 * images * _CHEB_NODES  # nodes of all nonzero images, per axis
+    return {"images": images, "chebyshev_nodes": _CHEB_NODES,
+            "kernel_evals": h1 * h2 + k * k + k * (h1 + h2),
+            "table_bytes": 8 * sizes[0] * sizes[1]}
+
+
 def kernel_weight_table(sizes, period, rho: float,
                         images: int | None = None) -> np.ndarray:
     """Midpoint-sampled, periodised kernel weights with the cutoff ball removed.
 
-    Entry (i, j) holds cellarea * sum_images K(offset + m L), the cyclic
-    convolution weights of the p.v. sum, with the images (m1, m2) added in
-    lexicographic order starting from 0; offsets inside |y| <= rho are zeroed
-    (symmetric exclusion).  ``images`` grows with resolution by default so the
-    periodisation tail refines together with the mesh.
+    Entry (i, j) approximates cellarea * sum_images K(offset + m L) over the
+    images |m1|, |m2| <= ``images``, the cyclic convolution weights of the
+    p.v. sum; offsets inside |y| <= rho are zeroed (symmetric exclusion).
+    ``images`` grows with resolution by default so the periodisation tail
+    refines together with the mesh.
 
-    Each kernel value is evaluated once, and the table equals the plain loop
-    over images bit for bit.  K depends on x^2 and y^2 only, and the offsets
-    fftfreq(n, 1/n) h are sign-symmetric under round-to-nearest: the offset
-    of image -m at index (n - i) mod n is exactly minus that of image m at
-    index i, also after ``_axis_safe``.  So row n - i adds the same values as
-    row i in reversed m1 order, and column n - j those of column j in
-    reversed m2 order.  K is therefore sampled on rows 0..n1//2 and columns
-    0..n2//2 only, in blocks of at most ``_EVAL_BLOCK`` points, and four
-    sequential sums in the orders (m1, m2), (-m1, m2), (m1, -m2) and
-    (-m1, -m2) fill the four quadrants.  For even n the offset -n/2 h has no
-    mirror; its row (column) is sampled directly, like row 0.
+    K depends on x^2 and y^2 and the image set is symmetric, so W is even in
+    each index: it is built on the quadrant of offsets 0..n//2 (taken as
+    |offset|) and read back through min(i, n - i).  On that quadrant it is
+    the sum of three parts:
+
+    - the centre image (0, 0), sampled directly, exact zeros replaced by
+      ``_axis_safe``;
+    - the off-axis images (m1 != 0 and m2 != 0), summed on a tensor grid of
+      ``_CHEB_NODES`` Chebyshev nodes per axis on [0, L1/2] x [0, L2/2] and
+      interpolated to the offsets.  The sum is analytic there, its nearest
+      singular line being x = L1 (or y = L2), so the interpolant converges
+      geometrically (Bernstein ellipse of radius 3 + sqrt(8));
+    - the axis strips (m1 = 0, m2 != 0 and the swap), sampled exactly in the
+      log-singular variable and interpolated in the other.
+
+    The table agrees with the plain loop over all images to within 1e-12
+    of max|W| (6.4e-14 at worst on the tested tables); what remains is
+    roundoff and K's own branch switch near the axes.
     """
     if len(sizes) != 2 or len(period) != 2:
         raise InvalidInputError("kernel_weight_table needs 2-d sizes and period")
     if not rho >= 0:
         raise InvalidInputError("cutoff radius must be nonnegative")
+    images = _resolve_images(sizes, images)
     n1, n2 = sizes
     L1, L2 = period
     h1, h2 = L1 / n1, L2 / n2
-    if images is None:
-        images = _auto_images(max(n1, n2))
-    if (isinstance(images, bool) or not isinstance(images, numbers.Real)
-            or not float(images).is_integer() or images < 0):
-        raise InvalidInputError(f"images must be a nonnegative integer, got {images!r}")
-    images = int(images)
     off1 = np.fft.fftfreq(n1, d=1.0 / n1) * h1
     off2 = np.fft.fftfreq(n2, d=1.0 / n2) * h2
-    # image offsets at the sampled indices 0..n//2, one row per image
-    m = np.arange(-images, images + 1)
-    X = _axis_safe(off1[: n1 // 2 + 1] + (m * L1)[:, None], h1)
-    Y = _axis_safe(off2[: n2 // 2 + 1] + (m * L2)[:, None], h2)
-    A, H1, H2 = len(m), X.shape[1], Y.shape[1]
-    cols = max(1, min(H2, _EVAL_BLOCK // A))
-    rows = max(1, _EVAL_BLOCK // (A * cols))
-    Q = np.zeros((4, H1, H2))
-    for r in range(0, H1, rows):
-        for c in range(0, H2, cols):
-            x, y = X[:, r:r + rows, None], Y[:, None, c:c + cols]
-            V = np.empty((A, A, x.shape[1], y.shape[2]))
-            for a in range(A):
-                V[a] = kernel_closed_form(x[a], y)
-            acc = Q[:, r:r + rows, c:c + cols]
-            for a in range(A):
-                for b in range(A):
-                    acc[0] += V[a, b]
-                    acc[1] += V[-1 - a, b]
-                    acc[2] += V[a, -1 - b]
-                    acc[3] += V[-1 - a, -1 - b]
+    x, y = np.abs(off1[: n1 // 2 + 1]), np.abs(off2[: n2 // 2 + 1])
+    cx, Bx = _chebyshev(x, L1 / 2)
+    cy, By = _chebyshev(y, L2 / 2)
+    m = np.concatenate([np.arange(-images, 0), np.arange(1, images + 1)])
+    # the nodes of every nonzero image, one row per image
+    mx, my = cx + (m * L1)[:, None], cy + (m * L2)[:, None]
+    x, y = _axis_safe(x, h1), _axis_safe(y, h2)
+    centre = kernel_closed_form(x[:, None], y)
+    off_axis = kernel_closed_form(mx[:, None, :, None],
+                                  my[None, :, None, :]).sum(axis=(0, 1))
+    # images on the x axis (m2 = 0) and on the y axis (m1 = 0)
+    axis_x = kernel_closed_form(mx[:, :, None], y).sum(axis=0)
+    axis_y = kernel_closed_form(x[:, None], my[:, None, :]).sum(axis=0)
+    # one rank-2N product, by einsum's own loop: on two vCPUs, OpenBLAS's
+    # threaded gemm took 16 ms for a 257 x 20 x 257 product, einsum 0.5 ms
+    Q = centre + np.einsum("ik,kj->ij", np.hstack([Bx, axis_y]),
+                           np.vstack([off_axis @ By.T + axis_x, By.T]))
     Q *= h1 * h2
-    # an index past n//2 reads the mirrored quadrant at n - index
     i1, i2 = np.arange(n1), np.arange(n2)
-    flip1, flip2 = i1 > n1 // 2, i2 > n2 // 2
-    W = Q[flip1[:, None] + 2 * flip2,
-          np.minimum(i1, n1 - i1)[:, None], np.minimum(i2, n2 - i2)]
+    W = Q[np.minimum(i1, n1 - i1)[:, None], np.minimum(i2, n2 - i2)]
     W[np.add.outer(off1 * off1, off2 * off2) <= rho * rho] = 0.0
     return W
 

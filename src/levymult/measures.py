@@ -698,7 +698,10 @@ def modulator_to_dict(mod: JumpModulator) -> dict:
 
 
 def _cnum(x):
+    """A complex number from a real number or an exact [re, im] pair."""
     if isinstance(x, (list, tuple)):
+        if len(x) != 2:
+            raise ValueError(f"complex value {x!r} is not an [re, im] pair")
         return complex(_num(x[0]), _num(x[1]))
     return complex(_num(x))
 
@@ -719,6 +722,8 @@ def modulator_from_dict(doc: dict) -> JumpModulator:
                 {tuple(_num(c) for c in e["z"]): _cnum(e["value"])
                  for e in doc["entries"]})
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, InvalidInputError):
+            raise
         raise InvalidInputError(f"malformed modulator document: {exc}") from exc
     raise InvalidInputError(f"unknown modulator kind {kind!r}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grid import GridFunction, PStar, _norm_of_abs, lp_norm
+from .grid import GridFunction, PStar, _norm_of_abs
 from .symbols import ConstantSymbol, MultiplierSymbol
 
 __all__ = ["apply_multiplier", "symbol_on_grid", "norm_ratio_sweep", "SweepRow",
@@ -238,7 +238,8 @@ def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> Sweep:
     start = time.perf_counter()
     norms = []  # norms[member][k] = ||f||_{p_k}
     for f, fid in zip(corpus, ids):
-        norms.append([lp_norm(f, p) for p in p_list])
+        mags = np.abs(f.samples)
+        norms.append([_norm_of_abs(mags, p, f.cell_volume) for p in p_list])
         if 0.0 in norms[-1]:
             raise InvalidInputError(f"corpus member {fid} has zero norm")
     seconds["norms"] = time.perf_counter() - start

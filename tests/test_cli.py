@@ -331,6 +331,10 @@ def test_kernel_pv_mode_writes_grid(tmp_path):
     g = read_grid(tmp_path / "o" / "pv.lmgf")
     direct = lm.pv_convolve(f, rho=2 * L / n)
     assert np.array_equal(g.samples, direct.samples)
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    assert (meta["images"], meta["chebyshev_nodes"]) == (3, 20)
+    assert meta["kernel_evals"] == 33 * 33 + (6 * 20) ** 2 + 6 * 20 * 66
+    assert meta["table_bytes"] == 64 * 64 * 8
 
 
 def test_verify_rerun_byte_identical(tmp_path):

@@ -320,14 +320,15 @@ def test_pv_two_orientations_sum_to_identity():
 
 def test_pv_swapped_table_is_negated():
     # orientation 2 needs no table of its own: K(y, x) = -K(x, y) bit for
-    # bit, also near the axes and the diagonal, so its table is exactly -W
+    # bit, also near the axes and the diagonal, so its image loop is
+    # exactly minus orientation 1's
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.uniform(-8, 8, 4000), [1.0, 1e-9, 2e-5, 0.3]])
     y = np.concatenate([rng.uniform(-8, 8, 4000),
                         [1e-8, 1.0, 1.0, 0.30000000000000004]])
     assert np.array_equal(lm.kernel_closed_form(y, x),
                           -lm.kernel_closed_form(x, y))
-    W = kernel_weight_table((32, 32), (L, L), 2 * L / 32, images=1)
+    W = reference_weight_table((32, 32), (L, L), 2 * L / 32, 1, 1)
     W2 = reference_weight_table((32, 32), (L, L), 2 * L / 32, 1, 2)
     assert np.array_equal(W2, -W)
 
@@ -340,7 +341,7 @@ def test_pv_rejects_bad_orientation(orientation):
 
 
 def reference_weight_table(sizes, period, rho, images, orientation):
-    """The plain loop over images on the full meshgrid: the bitwise oracle."""
+    """The plain loop over images on the full meshgrid: the table's oracle."""
     n1, n2 = sizes
     L1, L2 = period
     h1, h2 = L1 / n1, L2 / n2
@@ -368,17 +369,21 @@ TABLE_CASES = (
        ((5, 2), (1.0, 1.0), 0.0, 1), ((1, 1), (1.0, 1.0), 0.0, 2)])
 
 
+def table_error(W, sizes, period, rho, images, orientation=1):
+    """max|W - loop| / max|loop|, W taken as orientation 1's table."""
+    ref = reference_weight_table(sizes, period, rho, images, orientation)
+    err = np.abs((-W if orientation == 2 else W) - ref).max()
+    return err / np.abs(ref).max() if err else 0.0
+
+
 @pytest.mark.parametrize("orientation", [1, 2])
 @pytest.mark.parametrize("sizes, period, rho, images", TABLE_CASES)
 def test_weight_table_bitwise_equals_image_loop(sizes, period, rho, images,
                                                 orientation):
-    # the swapped-K loop of orientation 2 is -W; adding +0.0 turns the -0.0
-    # of the negated cutoff cells into the loop's +0.0 and changes no other bit
+    # the Chebyshev image sums leave roundoff and K's branch switch near
+    # the axes: 6.4e-14 of max|W| at worst on these cases
     W = kernel_weight_table(sizes, period, rho, images)
-    if orientation == 2:
-        W = -W + 0.0
-    ref = reference_weight_table(sizes, period, rho, images, orientation)
-    assert W.tobytes() == ref.tobytes()
+    assert table_error(W, sizes, period, rho, images, orientation) <= 1e-12
 
 
 def test_weight_table_rho_removes_cells():
@@ -392,32 +397,81 @@ def test_weight_table_rho_removes_cells():
 
 
 def test_weight_table_evaluates_each_image_value_once(monkeypatch):
+    # K depends on x^2 and y^2, so a repeated (|x|, |y|) repeats a value
     seen = []
     inner = kmod.kernel_closed_form
 
-    def counting(x, y):
-        out = inner(x, y)
-        seen.append(out.size)
-        return out
+    def recording(x, y):
+        seen.append(np.stack([a.ravel() for a in
+                              np.broadcast_arrays(np.abs(x), np.abs(y))], 1))
+        return inner(x, y)
 
-    monkeypatch.setattr(kmod, "kernel_closed_form", counting)
-    for sizes, images in (((64, 64), 3), ((63, 65), 2), ((96, 128), 1)):
+    monkeypatch.setattr(kmod, "kernel_closed_form", recording)
+    for sizes, images in (((64, 64), 3), ((63, 65), 2), ((96, 128), 1),
+                          ((16, 16), 0), ((512, 512), None)):
         seen.clear()
         kernel_weight_table(sizes, (L, L), 0.3, images)
-        n1, n2 = sizes
-        assert sum(seen) == (2 * images + 1) ** 2 * (n1 // 2 + 1) * (n2 // 2 + 1)
-    seen.clear()
-    kernel_weight_table((512, 512), (L, L), 2 * L / 512)
-    assert sum(seen) == 169 * 257 * 257
-    assert max(seen) <= kmod._EVAL_BLOCK
+        points = np.concatenate(seen)
+        assert len(np.unique(points, axis=0)) == len(points)
+        assert len(points) == kmod.weight_table_meta(sizes, images)["kernel_evals"]
+    # centre, 144 off-axis images, 2 x 12 axis images at 512^2
+    N = kmod._CHEB_NODES
+    assert len(points) == 257 ** 2 + 144 * N ** 2 + 2 * 12 * 257 * N
 
 
-def test_weight_table_small_blocks_keep_bits(monkeypatch):
-    # blocks narrower than a half row split the columns as well
-    ref = reference_weight_table((63, 65), (3.0, 5.0), 0.4, 2, 1)
-    monkeypatch.setattr(kmod, "_EVAL_BLOCK", 70)
-    W = kernel_weight_table((63, 65), (3.0, 5.0), 0.4, 2)
-    assert W.tobytes() == ref.tobytes()
+def _drop_off_axis_image(x, y, out):
+    hit = out.ndim == 4  # (image m1, image m2, node, node)
+    if hit:
+        out[0, 0] = 0.0  # image (-images, -images)
+    return hit
+
+
+def _drop_y_axis_images(x, y, out):
+    hit = np.ndim(y) == 3  # (image m2, offset, node): the m1 = 0 images
+    if hit:
+        out[...] = 0.0
+    return hit
+
+
+@pytest.mark.parametrize("defect", ["axis_safe_doubled", "off_axis_image",
+                                    "axis_orientation", "interval_0_L"])
+def test_weight_table_defect_breaks_the_oracle_comparison(monkeypatch,
+                                                          defect):
+    case = ((63, 65), (3.0, 5.0), 0.4, 3)
+    fired = []
+    if defect == "axis_safe_doubled":
+        safe = kmod._axis_safe
+        monkeypatch.setattr(kmod, "_axis_safe",
+                            lambda v, cell: safe(v, 2.0 * cell))
+    elif defect == "interval_0_L":
+        cheb = kmod._chebyshev
+        monkeypatch.setattr(kmod, "_chebyshev",
+                            lambda points, a: cheb(points, 2.0 * a))
+    else:
+        inner = kmod.kernel_closed_form
+        drop = (_drop_off_axis_image if defect == "off_axis_image"
+                else _drop_y_axis_images)
+
+        def mutated(x, y):
+            out = inner(x, y)
+            fired.append(drop(x, y, out))
+            return out
+
+        monkeypatch.setattr(kmod, "kernel_closed_form", mutated)
+    W = kernel_weight_table(*case)
+    # a mutated evaluation hits exactly one of the table's calls
+    assert fired.count(True) == (1 if fired else 0)
+    assert table_error(W, *case) > 1e-12
+
+
+def test_chebyshev_interpolates_at_and_between_nodes():
+    nodes, B = kmod._chebyshev(np.array([0.0, 0.7, 1.5]), 1.5)
+    assert np.all((nodes > 0) & (nodes < 1.5))
+    # degree N - 1 is reproduced; a node reads its own value
+    poly = np.polynomial.Polynomial(np.linspace(1, 2, kmod._CHEB_NODES))
+    assert np.allclose(B @ poly(nodes), poly([0.0, 0.7, 1.5]), rtol=1e-12)
+    at_nodes = kmod._chebyshev(nodes[[3, 0]], 1.5)[1]
+    assert np.array_equal(at_nodes, np.eye(kmod._CHEB_NODES)[[3, 0]])
 
 
 def test_weight_table_peak_memory():
@@ -452,8 +506,9 @@ def test_weight_table_rejects_nonintegral_images(images):
 @pytest.mark.parametrize("images", [3, 3.0, np.int64(3), np.float64(3.0)])
 def test_weight_table_integral_images_any_type(images):
     W = kernel_weight_table((16, 16), (L, L), 0.5, images)
-    assert W.tobytes() == reference_weight_table((16, 16), (L, L), 0.5, 3,
-                                                 1).tobytes()
+    assert W.tobytes() == kernel_weight_table((16, 16), (L, L), 0.5,
+                                              3).tobytes()
+    assert table_error(W, (16, 16), (L, L), 0.5, 3) <= 1e-12
 
 
 def test_pv_refinement_improves():

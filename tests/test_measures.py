@@ -590,6 +590,26 @@ def test_malformed_documents_raise():
         modulator_from_dict({"kind": "constant"})
 
 
+def test_modulator_document_keeps_constructor_errors():
+    with pytest.raises(InvalidInputError, match=r"^\|phi\| must not exceed 1$"):
+        modulator_from_dict({"kind": "constant", "value": 2.0})
+
+
+@pytest.mark.parametrize("value", [[1, 0, 3], [0.5], [], "1+2j", None])
+@pytest.mark.parametrize("kind", ["constant", "table"])
+def test_modulator_complex_value_must_be_a_number_or_pair(kind, value):
+    doc = ({"kind": "constant", "value": value} if kind == "constant" else
+           {"kind": "table", "entries": [{"z": [1.0], "value": value}]})
+    with pytest.raises(InvalidInputError, match="malformed modulator document"):
+        modulator_from_dict(doc)
+
+
+def test_modulator_complex_value_forms():
+    # a plain number is a real value; the round trip covers [re, im]
+    assert modulator_from_dict(
+        {"kind": "constant", "value": 0.5}).payload["value"] == 0.5
+
+
 STABLE_DOC = {"kind": "stable", "alpha": 1.0, "epsilon": 0.5,
               "outer_radius": None,
               "atoms": [{"z": [1.0], "w": 1.0}, {"z": [-1.0], "w": 1.0}]}
