@@ -27,6 +27,7 @@ from .corpus import CorpusConfig, build_corpus
 from .exceptions import InvalidInputError
 from .grid import read_grid, write_grid
 from .kernel import kernel_closed_form, kernel_truncated
+from .measures import _int
 from .multiplier import apply_multiplier, norm_ratio_sweep
 from .scenarios import scenario_by_name, scenario_from_dict, shipped_scenarios
 from .stochastic import (
@@ -47,11 +48,14 @@ VERIFY_ERROR = 1
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise InvalidInputError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise InvalidInputError("config must be a JSON object")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -85,8 +89,8 @@ def cmd_symbol(args) -> int:
     cfg = _load_config(args.config)
     sym = symbol_from_dict(cfg["symbol"])
     gspec = cfg.get("grid", {})
-    d = int(gspec.get("d", getattr(sym, "dimension", 2)))
-    n = int(gspec.get("n", 64))
+    d = _int(gspec.get("d", getattr(sym, "dimension", 2)))
+    n = _int(gspec.get("n", 64))
     xi_max = float(gspec.get("xi_max", 3.0))
     axes = [np.linspace(-xi_max, xi_max, n) for _ in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -109,10 +113,7 @@ def cmd_symbol(args) -> int:
 
 def cmd_apply(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        f = read_grid(cfg["input"])
-    except FileNotFoundError:
-        raise InvalidInputError(f"input grid not found: {cfg.get('input')}")
+    f = read_grid(cfg["input"])
     sym = symbol_from_dict(cfg["symbol"])
     g = apply_multiplier(f, sym)
     out = _out_dir(args)
@@ -127,15 +128,13 @@ def cmd_normratio(args) -> int:
     cfg = _load_config(args.config)
     symbol_specs = cfg["symbols"] if "symbols" in cfg else [cfg["symbol"]]
     ccfg = cfg.get("corpus", {})
-    d = int(ccfg.get("d", 2))
+    d = _int(ccfg.get("d", 2))
     corpus_config = CorpusConfig(
-        d=d, n=int(ccfg.get("n", 256 if d == 2 else 4096)),
+        d=d, n=_int(ccfg.get("n", 256 if d == 2 else 4096)),
         period=float(ccfg.get("period", 2 * np.pi)),
-        count=int(ccfg.get("count", 20)),
-        seed=int(ccfg.get("seed", args.seed)),
+        count=_int(ccfg.get("count", 20)),
+        seed=_int(ccfg.get("seed", args.seed)),
         mean_zero=bool(ccfg.get("mean_zero", False)))
-    if corpus_config.count < 1:
-        raise InvalidInputError("corpus count must be positive")
     p_list = [float(p) for p in cfg.get("p_list", [4 / 3, 1.5, 2.0, 3.0, 4.0])]
     seconds = {}
     corpus, ids = _timed(seconds, "corpus", build_corpus, corpus_config)
@@ -165,15 +164,12 @@ def cmd_kernel(args) -> int:
     cfg = _load_config(args.config)
     if "pv" in cfg:
         spec = cfg["pv"]
-        try:
-            f = read_grid(spec["input"])
-        except FileNotFoundError:
-            raise InvalidInputError(f"input grid not found: {spec.get('input')}")
+        f = read_grid(spec["input"])
         out = _out_dir(args)
         from .kernel import pv_convolve, weight_table_meta
 
         g = pv_convolve(f, rho=float(spec["rho"]),
-                        orientation=int(spec.get("orientation", 1)),
+                        orientation=_int(spec.get("orientation", 1)),
                         images=spec.get("images"))
         dest = out / spec.get("output", "pv.lmgf")
         write_grid(dest, g)
@@ -188,7 +184,7 @@ def cmd_kernel(args) -> int:
         pairs = list(zip(xs, ys))
     else:
         g = cfg.get("log_grid", {})
-        lo, hi, n = float(g.get("lo", 0.1)), float(g.get("hi", 10.0)), int(g.get("n", 20))
+        lo, hi, n = float(g.get("lo", 0.1)), float(g.get("hi", 10.0)), _int(g.get("n", 20))
         vals = np.geomspace(lo, hi, n)
         pairs = [(float(x), float(y)) for x in vals for y in vals]
     eps = cfg.get("eps")
@@ -226,8 +222,8 @@ def _row(row, *keys):
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     names = cfg.get("scenarios", [s.name for s in shipped_scenarios()])
-    n_paths = int(cfg.get("n_paths", 20000))
-    seed = int(cfg.get("seed", args.seed))
+    n_paths = _int(cfg.get("n_paths", 20000))
+    seed = _int(cfg.get("seed", args.seed))
     p_list = [float(p) for p in cfg.get("p_list", [1.5, 2, 3])]
     report = {"seed": seed, "n_paths": n_paths, "scenarios": {}}
     stages = {}  # per scenario, for run_meta.json only

@@ -153,16 +153,23 @@ def write_grid(path, f: GridFunction) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise InvalidInputError(f"grid file not found: {path}") from None
+    with fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInputError(f"{path}: not a grid file")
-        version, d = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise InvalidInputError(f"{path}: unsupported version {version}")
-        if d not in (1, 2):
-            raise InvalidInputError(f"{path}: bad dimension {d}")
-        sizes = struct.unpack(f"<{d}I", fh.read(4 * d))
-        period = struct.unpack(f"<{d}d", fh.read(8 * d))
+        try:
+            version, d = struct.unpack("<II", fh.read(8))
+            if version != _VERSION:
+                raise InvalidInputError(f"{path}: unsupported version {version}")
+            if d not in (1, 2):
+                raise InvalidInputError(f"{path}: bad dimension {d}")
+            sizes = struct.unpack(f"<{d}I", fh.read(4 * d))
+            period = struct.unpack(f"<{d}d", fh.read(8 * d))
+        except struct.error:
+            raise InvalidInputError(f"{path}: truncated header") from None
         count = int(np.prod(sizes))
         raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
         if raw.size != 2 * count:

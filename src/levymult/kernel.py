@@ -25,13 +25,13 @@ nodes, within 1e-12 of the largest weight of the plain sum over images.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from scipy import integrate
 
 from .exceptions import ConvergenceError, InvalidInputError, SingularPointError
 from .grid import GridFunction
+from .measures import _int
 from .multiplier import _Spectra
 
 __all__ = [
@@ -205,10 +205,12 @@ def _resolve_images(sizes, images):
     """The number of periodic images per side, ``_auto_images`` if None."""
     if images is None:
         return _auto_images(max(sizes))
-    if (isinstance(images, bool) or not isinstance(images, numbers.Real)
-            or not float(images).is_integer() or images < 0):
-        raise InvalidInputError(f"images must be a nonnegative integer, got {images!r}")
-    return int(images)
+    try:
+        if (count := _int(images)) >= 0:
+            return count
+    except ValueError:
+        pass
+    raise InvalidInputError(f"images must be a nonnegative integer, got {images!r}")
 
 
 def _chebyshev(points, a):

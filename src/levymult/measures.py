@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,29 +60,24 @@ def _as_points(points, d=None):
     return arr
 
 
+def _close(points, keys):
+    """(n, k) mask: row i of ``points`` and row j of ``keys`` agree in every
+    coordinate within ``_ATOM_TOL``."""
+    return np.all(np.abs(points[:, None, :] - keys[None, :, :]) <= _ATOM_TOL,
+                  axis=-1)
+
+
 def _check_symmetric_atoms(locations, weights, what):
-    """Every (z, w) must be matched by (-z, w)."""
-    n = len(weights)
-    used = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if used[i]:
-            continue
-        z, w = locations[i], weights[i]
-        match = -1
-        for j in range(n):
-            if j == i or used[j]:
-                continue
-            if np.allclose(locations[j], -z, rtol=0, atol=_ATOM_TOL) and math.isclose(
-                weights[j], w, rel_tol=1e-12, abs_tol=0
-            ):
-                match = j
-                break
-        if match < 0:
-            # self-paired atom would sit at the origin, which is excluded
-            raise InvalidInputError(
-                f"{what} is not symmetric: no mirror for atom {z} (weight {w})"
-            )
-        used[i] = used[match] = True
+    """nu(A) = nu(-A): at each atom z, the weight within tolerance of z equals
+    the weight within tolerance of -z (to a relative 1e-12)."""
+    here = _close(locations, locations) @ weights
+    mirror = _close(-locations, locations) @ weights
+    bad = ~(np.abs(here - mirror) <= 1e-12 * np.maximum(here, mirror))
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise InvalidInputError(
+            f"{what} is not symmetric: no mirror for atom {locations[i]} "
+            f"(weight {weights[i]})")
 
 
 @dataclass(frozen=True)
@@ -158,6 +155,8 @@ class TruncatedStableMeasure:
         w = np.asarray(self.angular_weights, dtype=float).ravel()
         if dirs.shape[0] != w.shape[0]:
             raise InvalidInputError("directions and weights length mismatch")
+        if not np.all(np.isfinite(w)):
+            raise InvalidInputError("non-finite angular weights")
         if np.any(w <= 0):
             raise InvalidInputError("angular weights must be positive")
         norms = np.linalg.norm(dirs, axis=1)
@@ -216,6 +215,15 @@ class JumpModulator:
     def __init__(self, kind: str, **payload):
         if kind not in ("constant", "axis", "per_axis", "table", "sign_pattern"):
             raise InvalidInputError(f"unknown modulator kind {kind!r}")
+        try:
+            if kind == "axis":
+                payload["j"] = _int(payload["j"])
+            if kind == "sign_pattern":
+                payload["signs"] = [_int(s) for s in payload["signs"]]
+        except ValueError as exc:
+            raise InvalidInputError(f"{kind} modulator: {exc}") from None
+        if kind == "sign_pattern" and any(s not in (-1, 1) for s in payload["signs"]):
+            raise InvalidInputError("sign pattern entries must be +-1")
         self.kind = kind
         self.payload = payload
         if kind == "constant" and abs(payload["value"]) > 1 + 1e-15:
@@ -230,7 +238,7 @@ class JumpModulator:
 
     @classmethod
     def axis_indicator(cls, j: int) -> "JumpModulator":
-        return cls("axis", j=int(j))
+        return cls("axis", j=j)
 
     @classmethod
     def per_axis(cls, coefficients: Sequence[float]) -> "JumpModulator":
@@ -244,10 +252,7 @@ class JumpModulator:
 
     @classmethod
     def sign_pattern(cls, signs: Sequence[int]) -> "JumpModulator":
-        signs = [int(s) for s in signs]
-        if any(s not in (-1, 1) for s in signs):
-            raise InvalidInputError("sign pattern entries must be +-1")
-        return cls("sign_pattern", signs=signs)
+        return cls("sign_pattern", signs=list(signs))
 
     # -- evaluation --------------------------------------------------------
     def values_at(self, points: np.ndarray) -> np.ndarray:
@@ -276,20 +281,15 @@ class JumpModulator:
                 raise InvalidInputError(
                     "sign pattern length does not match the atom list")
             return np.asarray(signs, dtype=complex)
-        # table
+        # table: the first key, in insertion order, within tolerance
         tab = self.payload["mapping"]
-        out = np.empty(n, dtype=complex)
-        for i in range(n):
-            key = tuple(pts[i])
-            hit = None
-            for k, v in tab.items():
-                if len(k) == d and all(abs(k[a] - key[a]) <= _ATOM_TOL for a in range(d)):
-                    hit = v
-                    break
-            if hit is None:
-                raise InvalidInputError(f"modulator table has no value at {key}")
-            out[i] = hit
-        return out
+        keys = [k for k in tab if len(k) == d]
+        hit = _close(pts, np.array(keys, dtype=float).reshape(-1, d))
+        missing = ~hit.any(axis=1)
+        if np.any(missing):
+            raise InvalidInputError(
+                f"modulator table has no value at {tuple(pts[np.argmax(missing)])}")
+        return np.array([tab[k] for k in keys], dtype=complex)[hit.argmax(axis=1)]
 
     def validate_on(self, measure) -> np.ndarray:
         """Check the bound and the symmetry phi(-z) = phi(z) on the atoms.
@@ -303,13 +303,9 @@ class JumpModulator:
         vals = self.values_at(pts)
         if np.any(np.abs(vals) > 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                if np.allclose(pts[j], -pts[i], rtol=0, atol=_ATOM_TOL):
-                    if abs(vals[j] - vals[i]) > 1e-12:
-                        raise InvalidInputError(
-                            "modulator is not symmetric: phi(-z) != phi(z)")
-                    break
+        i, j = np.nonzero(_close(-pts, pts))
+        if np.any(np.abs(vals[i] - vals[j]) > 1e-12):
+            raise InvalidInputError("modulator is not symmetric: phi(-z) != phi(z)")
         return vals
 
 
@@ -328,14 +324,18 @@ _EDGE = 10.0  # in b*eps: the power series below it, the rotated contour above
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(32)
 
 
-def _inner_correction(b, alpha, eps, tol=1e-14, max_terms=120):
+_SERIES_TOL = 1e-14  # relative size of the last term kept
+_SERIES_TERMS = 120
+
+
+def _inner_correction(b, alpha, eps):
     """integral_0^eps (cos(b r) - 1) r**(-1-alpha) dr by its power series.
 
     Vectorised over b.  The series is alternating with factorial decay, but
     its terms first grow like e^{b eps} (to 3.5e2 at b*eps = 10, 2.5e8 at
     25), so ``_radial_integral`` uses it only up to b*eps = ``_EDGE``, where
     it converges in 22-23 terms and keeps 6.1e-13 relative or better.
-    Raises ConvergenceError, carrying the partial sums, if ``max_terms``
+    Raises ConvergenceError, carrying the partial sums, if ``_SERIES_TERMS``
     terms do not converge.
     """
     b = np.asarray(b, dtype=float)
@@ -346,16 +346,17 @@ def _inner_correction(b, alpha, eps, tol=1e-14, max_terms=120):
     term_scale = np.ones_like(b)
     converged = np.zeros(b.shape, dtype=bool)
     floor = np.maximum(2, a.astype(np.int64) // 2)  # per value, not per batch
-    for m in range(1, max_terms + 1):
+    for m in range(1, _SERIES_TERMS + 1):
         term_scale = term_scale * (a * a) / ((2 * m - 1) * (2 * m))
         term = ((-1) ** m) * term_scale * eps ** (-alpha) / (2 * m - alpha)
         out = np.where(converged, out, out + term)
-        newly = np.abs(term) <= tol * np.maximum(np.abs(out), eps ** (-alpha) * 1e-30)
+        newly = np.abs(term) <= _SERIES_TOL * np.maximum(np.abs(out),
+                                                         eps ** (-alpha) * 1e-30)
         converged |= newly & (m > floor)
         if np.all(converged):
             return out
     raise ConvergenceError(
-        f"inner series did not converge in {max_terms} terms at "
+        f"inner series did not converge in {_SERIES_TERMS} terms at "
         f"b*eps = {np.max(a[~converged]):.6g}", estimate=out)
 
 
@@ -569,8 +570,11 @@ def _convolve(a, b):
     return convolve2d(a, b)
 
 
-def transition_measure(measure: DiscreteLevyMeasure, t: float, tol: float = 1e-12,
-                       max_rate: float = 50.0) -> TransitionMeasure:
+_MAX_RATE = 50.0  # guard on t*|nu|, the Poisson rate of the series
+
+
+def transition_measure(measure: DiscreteLevyMeasure, t: float,
+                       tol: float = 1e-12) -> TransitionMeasure:
     """Truncated p_t = e^{-t|nu|} sum_{n <= n_max} t^n/n! nu^{*n} on the lattice.
 
     All atoms must sit on a common lattice (inferred scale h).  n_max is the
@@ -580,8 +584,8 @@ def transition_measure(measure: DiscreteLevyMeasure, t: float, tol: float = 1e-1
     if t < 0:
         raise InvalidInputError("t must be nonnegative")
     lam = t * measure.total_mass
-    if lam > max_rate:
-        raise InvalidInputError(f"t*|nu| = {lam:.3g} exceeds the guard {max_rate}")
+    if lam > _MAX_RATE:
+        raise InvalidInputError(f"t*|nu| = {lam:.3g} exceeds the guard {_MAX_RATE}")
     h = _float_gcd(measure.locations)
     steps = measure.locations / h
     if not np.allclose(steps, np.round(steps), rtol=0, atol=1e-9):
@@ -655,13 +659,45 @@ def measure_to_dict(measure) -> dict:
     raise UnsupportedMeasureError(f"cannot serialise {type(measure)!r}")
 
 
+@contextmanager
+def _reading(what):
+    """Report a malformed ``what`` document as InvalidInputError.
+
+    An InvalidInputError raised inside (a constructor rejecting a value)
+    passes through with its own message.
+    """
+    try:
+        yield
+    except InvalidInputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed {what} document: {exc}") from exc
+
+
 def _num(x):
     # decimal strings are accepted and parsed losslessly into float
     return float(x)
 
 
+def _cnum(x):
+    """A complex number from a real number or an exact [re, im] pair."""
+    if isinstance(x, (list, tuple)):
+        if len(x) != 2:
+            raise ValueError(f"complex value {x!r} is not an [re, im] pair")
+        return complex(_num(x[0]), _num(x[1]))
+    return complex(_num(x))
+
+
+def _int(x):
+    """An integer from an integral real number; bools and strings are refused."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not (isinstance(x, numbers.Integral) or float(x).is_integer())):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def measure_from_dict(doc: dict):
-    try:
+    with _reading("measure"):
         kind = doc["kind"]
         atoms = [(np.array([_num(c) for c in a["z"]]), _num(a["w"]))
                  for a in doc["atoms"]]
@@ -674,10 +710,6 @@ def measure_from_dict(doc: dict):
                 np.vstack([z for z, _ in atoms]),
                 np.array([w for _, w in atoms]),
                 math.inf if outer is None else _num(outer))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed measure document: {exc}") from exc
     raise InvalidInputError(f"unknown measure kind {kind!r}")
 
 
@@ -697,22 +729,13 @@ def modulator_to_dict(mod: JumpModulator) -> dict:
                         for k, v in mod.payload["mapping"].items()]}
 
 
-def _cnum(x):
-    """A complex number from a real number or an exact [re, im] pair."""
-    if isinstance(x, (list, tuple)):
-        if len(x) != 2:
-            raise ValueError(f"complex value {x!r} is not an [re, im] pair")
-        return complex(_num(x[0]), _num(x[1]))
-    return complex(_num(x))
-
-
 def modulator_from_dict(doc: dict) -> JumpModulator:
-    try:
+    with _reading("modulator"):
         kind = doc["kind"]
         if kind == "constant":
             return JumpModulator.constant(_cnum(doc["value"]))
         if kind == "axis":
-            return JumpModulator.axis_indicator(int(doc["j"]))
+            return JumpModulator.axis_indicator(doc["j"])
         if kind == "per_axis":
             return JumpModulator.per_axis([_cnum(c) for c in doc["coefficients"]])
         if kind == "sign_pattern":
@@ -721,10 +744,6 @@ def modulator_from_dict(doc: dict) -> JumpModulator:
             return JumpModulator.table(
                 {tuple(_num(c) for c in e["z"]): _cnum(e["value"])
                  for e in doc["entries"]})
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed modulator document: {exc}") from exc
     raise InvalidInputError(f"unknown modulator kind {kind!r}")
 
 

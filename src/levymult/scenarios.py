@@ -12,7 +12,7 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .grid import read_grid
 from .lattice import PeriodicLattice
-from .measures import measure_from_dict, modulator_from_dict
+from .measures import _cnum, _int, _reading, measure_from_dict, modulator_from_dict
 from .stochastic import Scenario
 
 __all__ = ["bump_profile", "shipped_scenarios", "scenario_by_name",
@@ -93,10 +93,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     f (inline list of lattice values, or {"grid": path} referencing a stored
     grid function), x0 (flat index), window [s, u], checkpoints (optional).
     """
-    try:
+    with _reading("scenario"):
         measure = measure_from_dict(doc["measure"])
         modulator = modulator_from_dict(doc["modulator"])
-        sizes = tuple(int(n) for n in doc["sizes"])
+        sizes = tuple(_int(n) for n in doc["sizes"])
         h = float(doc.get("h", 1.0))
         lat = PeriodicLattice.from_measure(measure, modulator, sizes, h)
         fspec = doc["f"]
@@ -106,12 +106,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise InvalidInputError("grid file size does not match sizes")
             f = g.samples.ravel()
         else:
-            f = np.asarray([complex(v) if not isinstance(v, list)
-                            else complex(v[0], v[1]) for v in fspec])
-        window = (float(doc["window"][0]), float(doc["window"][1]))
+            f = np.asarray([_cnum(v) for v in fspec])
+        s, u = doc["window"]
         cps = tuple(float(t) for t in doc.get("checkpoints", ()))
-        return Scenario(str(doc["name"]), lat, f, int(doc["x0"]), window, cps)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed scenario document: {exc}") from exc
+        return Scenario(str(doc["name"]), lat, f, _int(doc["x0"]),
+                        (float(s), float(u)), cps)

@@ -504,9 +504,11 @@ def finite_time_lattice_symbol(lat: PeriodicLattice, s: float) -> np.ndarray:
     return out
 
 
+_MAX_RATE_WINDOW = 50.0  # guard on |s| * rate, the mean jumps per path
+
+
 def projection_identity_check(lat: PeriodicLattice, f, s: float,
-                              n_paths: int, seed: int, n_curve=None,
-                              max_rate_window: float = 50.0) -> ProjectionResult:
+                              n_paths: int, seed: int, n_curve=None) -> ProjectionResult:
     """Recover the finite-time multiplier from path functionals.
 
     The duality pairing of F_u against lattice indicators recovers, path by
@@ -517,10 +519,10 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     """
     if not s < 0:
         raise InvalidInputError("s must be negative (window (s, 0])")
-    if abs(s) * lat.total_rate > max_rate_window:
+    if abs(s) * lat.total_rate > _MAX_RATE_WINDOW:
         raise InvalidInputError(
             f"window depth |s| * rate = {abs(s) * lat.total_rate:.3g} exceeds "
-            f"the variance guard {max_rate_window}")
+            f"the variance guard {_MAX_RATE_WINDOW}")
     f = np.asarray(f, dtype=complex).ravel()
     if f.size != lat.n_points:
         raise InvalidInputError("boundary function size mismatch")

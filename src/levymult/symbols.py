@@ -23,7 +23,10 @@ from .exceptions import InvalidInputError, SingularPointError
 from .measures import (
     JumpModulator,
     TruncatedStableMeasure,
+    _cnum,
     _coords,
+    _int,
+    _reading,
     char_exponent,
     measure_from_dict,
     measure_to_dict,
@@ -51,6 +54,13 @@ __all__ = [
 ]
 
 ZERO_DENOM_REL = 1e-13  # |psi| below this times the mass scale counts as zero
+
+
+def _ratio(num, den, nz):
+    """num / den where ``nz`` holds and 0 elsewhere: the zero-set convention."""
+    out = np.zeros(nz.shape, dtype=complex)
+    out[nz] = num[nz] / den[nz]
+    return out
 
 
 class MultiplierSymbol:
@@ -104,10 +114,7 @@ class GeneralSymbol(MultiplierSymbol):
         den = np.asarray(char_exponent(self.measure, xi), dtype=float)
         num = np.asarray(modulated_exponent(self.measure, self.modulator, xi),
                          dtype=complex)
-        out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
-        nz = np.abs(den) > self._zero_thresh
-        out[nz] = num[nz] / den[nz]
-        return den, out
+        return den, _ratio(num, den, np.abs(den) > self._zero_thresh)
 
     def evaluate(self, xi):
         return self._psi_and_ratio(xi)[1]
@@ -145,10 +152,7 @@ class PowerSymbol(MultiplierSymbol):
         xi = _coords(xi, self.dimension)
         pows = np.abs(xi) ** self.alpha
         den = pows.sum(axis=-1)
-        out = np.zeros(den.shape, dtype=complex)
-        nz = den > 0
-        out[nz] = pows[..., self.j - 1][nz] / den[nz]
-        return out
+        return _ratio(pows[..., self.j - 1], den, den > 0)
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,7 @@ class Riesz2Symbol(MultiplierSymbol):
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
         den = (xi * xi).sum(axis=-1)
-        out = np.zeros(den.shape, dtype=complex)
-        nz = den > 0
-        out[nz] = -(xi[..., self.j - 1][nz] ** 2) / den[nz]
-        return out
+        return _ratio(-(xi[..., self.j - 1] ** 2), den, den > 0)
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,7 @@ class RieszPairSymbol(MultiplierSymbol):
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
         den = (xi * xi).sum(axis=-1)
-        out = np.zeros(den.shape, dtype=complex)
-        nz = den > 0
-        out[nz] = -2.0 * xi[..., self.j - 1][nz] * xi[..., self.k - 1][nz] / den[nz]
-        return out
+        return _ratio(-2.0 * xi[..., self.j - 1] * xi[..., self.k - 1], den, den > 0)
 
 
 class RieszComboSymbol(MultiplierSymbol):
@@ -201,11 +199,7 @@ class RieszComboSymbol(MultiplierSymbol):
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
         den = (xi * xi).sum(axis=-1)
-        num = -(xi * xi) @ self.coefficients
-        out = np.zeros(den.shape, dtype=complex)
-        nz = den > 0
-        out[nz] = num[nz] / den[nz]
-        return out
+        return _ratio(-(xi * xi) @ self.coefficients, den, den > 0)
 
 
 @dataclass(frozen=True)
@@ -221,10 +215,7 @@ class BeurlingAhlforsSymbol(MultiplierSymbol):
     def evaluate(self, xi):
         xi = _coords(xi, 2)
         z = xi[..., 0] + 1j * xi[..., 1]
-        out = np.zeros(z.shape, dtype=complex)
-        nz = np.abs(z) > 0
-        out[nz] = np.conj(z[nz]) / z[nz]
-        return out
+        return _ratio(np.conj(z), z, np.abs(z) > 0)
 
 
 @dataclass(frozen=True)
@@ -237,10 +228,7 @@ class FirstOrderRieszSymbol(MultiplierSymbol):
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
         mag = np.sqrt((xi * xi).sum(axis=-1))
-        out = np.zeros(mag.shape, dtype=complex)
-        nz = mag > 0
-        out[nz] = 1j * xi[..., self.j - 1][nz] / mag[nz]
-        return out
+        return _ratio(1j * xi[..., self.j - 1], mag, mag > 0)
 
 
 class ProductSymbol(MultiplierSymbol):
@@ -336,12 +324,10 @@ def symbol_to_dict(sym: MultiplierSymbol) -> dict:
 
 
 def symbol_from_dict(doc: dict) -> MultiplierSymbol:
-    try:
+    with _reading("symbol"):
         kind = doc["kind"]
         if kind == "constant":
-            v = doc["value"]
-            value = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-            return ConstantSymbol(value, int(doc.get("d", 1)))
+            return ConstantSymbol(_cnum(doc["value"]), _int(doc.get("d", 1)))
         if kind == "general":
             return GeneralSymbol(measure_from_dict(doc["measure"]),
                                  modulator_from_dict(doc["modulator"]))
@@ -350,23 +336,17 @@ def symbol_from_dict(doc: dict) -> MultiplierSymbol:
                                     modulator_from_dict(doc["modulator"]),
                                     float(doc["s"]))
         if kind == "power":
-            return PowerSymbol(float(doc["alpha"]), int(doc["j"]), int(doc["d"]))
+            return PowerSymbol(float(doc["alpha"]), _int(doc["j"]), _int(doc["d"]))
         if kind == "riesz2":
-            return Riesz2Symbol(int(doc["j"]), int(doc["d"]))
+            return Riesz2Symbol(_int(doc["j"]), _int(doc["d"]))
         if kind == "riesz_pair":
-            return RieszPairSymbol(int(doc["j"]), int(doc["k"]), int(doc["d"]))
+            return RieszPairSymbol(_int(doc["j"]), _int(doc["k"]), _int(doc["d"]))
         if kind == "riesz_combo":
-            coeff = [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                     for c in doc["coefficients"]]
-            return RieszComboSymbol(coeff)
+            return RieszComboSymbol([_cnum(c) for c in doc["coefficients"]])
         if kind == "beurling_ahlfors":
             return BeurlingAhlforsSymbol()
         if kind == "first_order_riesz":
-            return FirstOrderRieszSymbol(int(doc["j"]), int(doc["d"]))
+            return FirstOrderRieszSymbol(_int(doc["j"]), _int(doc["d"]))
         if kind == "product":
             return ProductSymbol(*[symbol_from_dict(f) for f in doc["factors"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed symbol document: {exc}") from exc
     raise InvalidInputError(f"unknown symbol kind {kind!r}")

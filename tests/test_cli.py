@@ -443,5 +443,54 @@ def test_modulator_bound_rejected_at_parse(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "symbol"]) == 2
 
 
+WALK = {"kind": "discrete",
+        "atoms": [{"z": [1.0], "w": 1.0}, {"z": [-1.0], "w": 1.0}]}
+WALK_SCENARIO = {"name": "walk", "measure": WALK,
+                 "modulator": {"kind": "constant", "value": 1.0},
+                 "sizes": [8], "f": [0.0] * 8, "x0": 2, "window": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("symbol", {"symbol": {"kind": "constant", "value": [0.5]}}),
+    ("symbol", {"symbol": {"kind": "riesz2", "j": 1.7, "d": 2}}),
+    ("symbol", {"symbol": {"kind": "general", "measure": WALK,
+                           "modulator": {"kind": "axis", "j": "1"}}}),
+    ("verify", {"scenarios": [{**WALK_SCENARIO, "x0": 2.5}]}),
+    ("verify", {"scenarios": [{**WALK_SCENARIO, "window": [0]}]}),
+    ("verify", {"scenarios": [{**WALK_SCENARIO, "f": {"grid": "absent.lmgf"}}]}),
+    ("verify", []),
+    ("kernel", []),
+], ids=["symbol_constant_short", "riesz2_j_float", "axis_j_text", "x0_float",
+        "window_short", "scenario_grid_missing", "verify_config_list",
+        "kernel_config_list"])
+def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["--config", path, "--out", str(tmp_path / "o"), command]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("kernel", {"log_grid": {"n": 2.9}}),
+    ("symbol", {"symbol": {"kind": "riesz2", "j": 1, "d": 2}, "grid": {"n": "8"}}),
+    ("verify", {"scenarios": ["walk_phi1"], "n_paths": 10.5}),
+    ("normratio", {"symbol": {"kind": "riesz2", "j": 1, "d": 2},
+                   "corpus": {"d": 2, "n": 16, "count": True}}),
+], ids=["log_grid_n", "grid_n_text", "n_paths_float", "count_bool"])
+def test_config_integer_field_is_not_truncated(tmp_path, capsys, command, cfg):
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["--config", path, "--out", str(tmp_path / "o"), command]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_apply_short_grid_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "short.lmgf"
+    p.write_bytes(b"LMGF\x01\x00")
+    cfg = write_json(tmp_path / "c.json", {
+        "input": str(p), "symbol": {"kind": "riesz2", "j": 1, "d": 2}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "apply"]) == 2
+    assert "truncated header" in capsys.readouterr().err
+
+
 def test_usage_error_on_bad_command():
     assert main(["--config", "x.json", "definitely-not-a-command"]) == 2

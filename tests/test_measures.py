@@ -8,6 +8,7 @@ from hypothesis import strategies as st_
 from scipy import integrate
 
 import levymult as lm
+from levymult import measures
 from levymult.exceptions import InvalidInputError, UnsupportedMeasureError
 from levymult.measures import (
     dumps_measure,
@@ -454,6 +455,128 @@ def test_constant_modulator_magnitudes(r, angle):
     mod = lm.JumpModulator.constant(c)
     vals = mod.values_at(np.array([[1.0], [-1.0]]))
     assert np.all(np.abs(vals) <= 1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# atom identity: one matcher for measure symmetry, modulator symmetry and
+# the table lookup
+# ---------------------------------------------------------------------------
+
+TOL = measures._ATOM_TOL
+
+
+def reference_symmetric(locations, weights):
+    """nu(A) = nu(-A) by a plain double loop: the measure check's oracle.
+
+    At each atom z, the weight of the atoms within TOL of z (in every
+    coordinate) must equal, to a relative 1e-12, that within TOL of -z.
+    """
+    for z in locations:
+        here = mirror = 0.0
+        for y, w in zip(locations, weights):
+            if all(abs(y[a] - z[a]) <= TOL for a in range(len(z))):
+                here += w
+            if all(abs(y[a] + z[a]) <= TOL for a in range(len(z))):
+                mirror += w
+        if abs(here - mirror) > 1e-12 * max(here, mirror):
+            return False
+    return True
+
+
+def _build(kind, locations, weights):
+    if kind == "discrete":
+        return lm.DiscreteLevyMeasure(locations, weights)
+    return lm.TruncatedStableMeasure(1.0, 0.5, locations, weights)
+
+
+_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6), (0.6, -0.8)]
+
+
+@pytest.mark.parametrize("kind", ["discrete", "stable"])
+def test_repeated_atoms_are_weighed_together(kind):
+    z = np.array([0.6, 0.8])
+    # {z: 2, -z: 1, -z: 1} is symmetric as a measure
+    _build(kind, [z, -z, -z], [2.0, 1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        _build(kind, [z, z, -z], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", ["discrete", "stable"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weights_are_rejected(kind, bad):
+    """A NaN or infinite weight would make psi NaN and the symbol silently 0."""
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        _build(kind, [[1.0], [-1.0]], [1.0, bad])
+    doc = {"kind": kind, "alpha": 1.0, "epsilon": 0.5,
+           "atoms": [{"z": [1.0], "w": 1.0}, {"z": [-1.0], "w": str(bad)}]}
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        measure_from_dict(doc)
+
+
+def test_symmetry_check_fails_on_nan_weight():
+    """The check itself refuses NaN, so it cannot mask another asymmetry."""
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        measures._check_symmetric_atoms(np.array([[1.0], [-1.0]]),
+                                        np.array([1.0, math.nan]), "measure")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st_.sampled_from(["discrete", "stable"]),
+       base=st_.lists(st_.tuples(st_.sampled_from(_DIRECTIONS),
+                                 st_.sampled_from([0.5, 1.0, 2.0]),
+                                 st_.floats(0.1, 5.0)), min_size=1, max_size=4),
+       defect=st_.sampled_from(["none", "move_half_tol", "move_10_tol",
+                                "weight_1e-9"]),
+       pick=st_.integers(0, 7))
+def test_measure_symmetry_agrees_with_double_loop(kind, base, defect, pick):
+    locations, weights = [], []
+    for direction, radius, w in base:
+        z = np.array(direction) * (1.0 if kind == "stable" else radius)
+        locations += [z, -z]
+        weights += [w, w]
+    locations, weights = np.array(locations), np.array(weights)
+    i = pick % len(weights)
+    if defect == "move_half_tol":
+        locations[i, 0] += 0.5 * TOL
+    elif defect == "move_10_tol":
+        locations[i, 0] += 10 * TOL
+    elif defect == "weight_1e-9":
+        weights[i] *= 1 + 1e-9
+    expected = reference_symmetric(locations, weights)
+    assert expected == (defect in ("none", "move_half_tol"))
+    try:
+        _build(kind, locations, weights)
+        accepted = True
+    except InvalidInputError:
+        accepted = False
+    assert accepted == expected
+
+
+def test_sign_blind_matcher_would_accept_asymmetric_inputs(monkeypatch):
+    """Drop the mirror's sign and both symmetry checks pass inputs the
+    rejection tests above reject: those tests catch the defect."""
+    atoms = [([1.0], 1.0), ([-1.0], 2.0)]
+    antisymmetric = lm.JumpModulator.table({(1.0,): 1.0, (-1.0,): -1.0})
+    with pytest.raises(InvalidInputError):
+        lm.DiscreteLevyMeasure.from_atoms(atoms)
+    with pytest.raises(InvalidInputError):
+        antisymmetric.validate_on(axes_measure_1d())
+    close = measures._close
+    monkeypatch.setattr(measures, "_close",
+                        lambda points, keys: close(np.abs(points), np.abs(keys)))
+    lm.DiscreteLevyMeasure.from_atoms(atoms)
+    antisymmetric.validate_on(axes_measure_1d())
+
+
+def test_table_lookup_takes_first_key_within_tolerance():
+    at = np.array([[1.0]])
+    near = 1.0 + 0.5 * TOL
+    first = lm.JumpModulator.table({(1.0, 0.0): 0.25, (near,): 0.5, (1.0,): -0.5})
+    assert first.values_at(at)[0] == 0.5  # the 2-vector key is skipped
+    swapped = lm.JumpModulator.table({(1.0,): -0.5, (near,): 0.5})
+    assert swapped.values_at(at)[0] == -0.5
+    with pytest.raises(InvalidInputError, match="no value at"):
+        first.values_at(np.array([[1.0 + 2 * TOL]]))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,19 @@ def test_binary_rejects_garbage(tmp_path):
         read_grid(p)
 
 
+def test_binary_rejects_missing_file_and_short_header(tmp_path):
+    with pytest.raises(InvalidInputError, match="not found"):
+        read_grid(tmp_path / "absent.lmgf")
+    p = tmp_path / "f.lmgf"
+    write_grid(p, GridFunction((8, 8), (1.0, 2.0), np.ones((8, 8))))
+    data = p.read_bytes()
+    header = 4 + 8 + 2 * 4 + 2 * 8
+    for cut in range(header):  # every prefix of the header, magic included
+        p.write_bytes(data[:cut])
+        with pytest.raises(InvalidInputError):
+            read_grid(p)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st_.integers(0, 2 ** 32 - 1))
 def test_binary_roundtrip_random_grids(seed):
