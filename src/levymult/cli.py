@@ -22,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import multiplier
 from .corpus import CorpusConfig, build_corpus
 from .exceptions import InvalidInputError
 from .grid import read_grid, write_grid
 from .kernel import kernel_closed_form, kernel_truncated
-from .measures import _int
+from .measures import _bool, _int, _num
 from .multiplier import apply_multiplier, norm_ratio_sweep
 from .scenarios import scenario_by_name, scenario_from_dict, shipped_scenarios
 from .stochastic import (
@@ -91,7 +90,7 @@ def cmd_symbol(args) -> int:
     gspec = cfg.get("grid", {})
     d = _int(gspec.get("d", getattr(sym, "dimension", 2)))
     n = _int(gspec.get("n", 64))
-    xi_max = float(gspec.get("xi_max", 3.0))
+    xi_max = _num(gspec.get("xi_max", 3.0))
     axes = [np.linspace(-xi_max, xi_max, n) for _ in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(grids, axis=-1)
@@ -131,11 +130,11 @@ def cmd_normratio(args) -> int:
     d = _int(ccfg.get("d", 2))
     corpus_config = CorpusConfig(
         d=d, n=_int(ccfg.get("n", 256 if d == 2 else 4096)),
-        period=float(ccfg.get("period", 2 * np.pi)),
+        period=_num(ccfg.get("period", 2 * np.pi)),
         count=_int(ccfg.get("count", 20)),
         seed=_int(ccfg.get("seed", args.seed)),
-        mean_zero=bool(ccfg.get("mean_zero", False)))
-    p_list = [float(p) for p in cfg.get("p_list", [4 / 3, 1.5, 2.0, 3.0, 4.0])]
+        mean_zero=_bool(ccfg.get("mean_zero", False)))
+    p_list = [_num(p) for p in cfg.get("p_list", [4 / 3, 1.5, 2.0, 3.0, 4.0])]
     seconds = {}
     corpus, ids = _timed(seconds, "corpus", build_corpus, corpus_config)
     out = _out_dir(args)
@@ -152,7 +151,7 @@ def cmd_normratio(args) -> int:
                          f"{r.argmax_id}\n")
                 any_violation |= r.violation
     _write_meta(out, args, {"violation": any_violation,
-                            "threads": multiplier._pool_size(len(corpus)),
+                            "threads": sweeps.threads,
                             "seconds": seconds,
                             "half_spectrum_symbols": sweeps.half_spectrum_symbols})
     print(f"wrote {out / 'normratio.csv'}"
@@ -168,7 +167,7 @@ def cmd_kernel(args) -> int:
         out = _out_dir(args)
         from .kernel import pv_convolve, weight_table_meta
 
-        g = pv_convolve(f, rho=float(spec["rho"]),
+        g = pv_convolve(f, rho=_num(spec["rho"]),
                         orientation=_int(spec.get("orientation", 1)),
                         images=spec.get("images"))
         dest = out / spec.get("output", "pv.lmgf")
@@ -177,19 +176,20 @@ def cmd_kernel(args) -> int:
         print(f"wrote {dest}")
         return 0
     if "points" in cfg:
-        xs = [float(x) for x in cfg["points"]["x"]]
-        ys = [float(y) for y in cfg["points"]["y"]]
+        xs = [_num(x) for x in cfg["points"]["x"]]
+        ys = [_num(y) for y in cfg["points"]["y"]]
         if len(xs) != len(ys):
             raise InvalidInputError("points.x and points.y lengths differ")
         pairs = list(zip(xs, ys))
     else:
         g = cfg.get("log_grid", {})
-        lo, hi, n = float(g.get("lo", 0.1)), float(g.get("hi", 10.0)), _int(g.get("n", 20))
+        lo, hi, n = _num(g.get("lo", 0.1)), _num(g.get("hi", 10.0)), _int(g.get("n", 20))
         vals = np.geomspace(lo, hi, n)
         pairs = [(float(x), float(y)) for x in vals for y in vals]
     eps = cfg.get("eps")
-    big_t = cfg.get("T")
-    tol = float(cfg.get("tol", 1e-10))
+    if eps is not None:
+        eps, big_t = _num(eps), _num(cfg.get("T"))
+    tol = _num(cfg.get("tol", 1e-10))
     out = _out_dir(args)
     with open(out / "kernel.csv", "w") as fh:
         if eps is None:
@@ -199,7 +199,7 @@ def cmd_kernel(args) -> int:
         else:
             fh.write("x,y,K,K_truncated\n")
             for x, y in pairs:
-                kt = kernel_truncated(float(eps), float(big_t), x, y, tol=tol)
+                kt = kernel_truncated(eps, big_t, x, y, tol=tol)
                 fh.write(f"{x!r},{y!r},{kernel_closed_form(x, y)!r},{kt!r}\n")
     _write_meta(out, args, {"rows": len(pairs)})
     print(f"wrote {out / 'kernel.csv'} ({len(pairs)} rows)")
@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
     names = cfg.get("scenarios", [s.name for s in shipped_scenarios()])
     n_paths = _int(cfg.get("n_paths", 20000))
     seed = _int(cfg.get("seed", args.seed))
-    p_list = [float(p) for p in cfg.get("p_list", [1.5, 2, 3])]
+    p_list = [_num(p) for p in cfg.get("p_list", [1.5, 2, 3])]
     report = {"seed": seed, "n_paths": n_paths, "scenarios": {}}
     stages = {}  # per scenario, for run_meta.json only
     failed = False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -9,8 +10,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 
-__all__ = ["GridFunction", "PStar", "lp_norm", "write_grid", "read_grid",
-           "write_grid_csv"]
+__all__ = ["GridFunction", "PStar", "lp_norm", "write_grid", "read_grid"]
 
 _MAGIC = b"LMGF"
 _VERSION = 1
@@ -39,8 +39,8 @@ class GridFunction:
             raise InvalidInputError("dimension must be 1 or 2")
         if any(not _is_pow2(n) or n < 8 for n in sizes):
             raise InvalidInputError("grid sizes must be powers of two, >= 8")
-        if any(L <= 0 for L in period):
-            raise InvalidInputError("periods must be positive")
+        if not all(0 < L < np.inf for L in period):
+            raise InvalidInputError("periods must be positive and finite")
         arr = np.asarray(self.samples, dtype=complex).reshape(sizes)
         if not np.all(np.isfinite(arr.view(float))):
             raise InvalidInputError("samples must be finite")
@@ -55,10 +55,6 @@ class GridFunction:
     @property
     def cell_volume(self) -> float:
         return float(np.prod([L / n for L, n in zip(self.period, self.sizes)]))
-
-    def axes(self):
-        """Physical coordinates along each axis."""
-        return [np.arange(n) * (L / n) for n, L in zip(self.sizes, self.period)]
 
     def frequencies(self) -> np.ndarray:
         """Array of shape sizes + (d,) holding the grid frequencies."""
@@ -153,6 +149,8 @@ def write_grid(path, f: GridFunction) -> None:
 
 
 def read_grid(path) -> GridFunction:
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(f"grid path must be a string, got {path!r}")
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -177,18 +175,3 @@ def read_grid(path) -> GridFunction:
         samples = raw[0::2] + 1j * raw[1::2]
     return GridFunction(sizes, period, samples.reshape(sizes))
 
-
-def write_grid_csv(path, f: GridFunction) -> None:
-    axes = f.axes()
-    with open(path, "w") as fh:
-        if f.d == 1:
-            fh.write("x,re,im\n")
-            for x, v in zip(axes[0], f.samples):
-                fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-        else:
-            fh.write("x,y,re,im\n")
-            for i, x in enumerate(axes[0]):
-                for j, y in enumerate(axes[1]):
-                    v = f.samples[i, j]
-                    fh.write(f"{float(x)!r},{float(y)!r},"
-                             f"{float(v.real)!r},{float(v.imag)!r}\n")

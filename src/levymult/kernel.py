@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .exceptions import ConvergenceError, InvalidInputError, SingularPointError
 from .grid import GridFunction
@@ -142,6 +141,8 @@ def kernel_numeric(x: float, y: float, tol: float = 1e-10) -> float:
     the sign change t = |x| and at t = |y|, and closes the range with the
     asymptotic tail - independent of the closed form, used as its oracle.
     """
+    from scipy import integrate
+
     if x == 0.0 and y == 0.0:
         raise SingularPointError("K is singular at the origin")
     s = max(abs(x), abs(y))
@@ -163,6 +164,8 @@ def kernel_numeric(x: float, y: float, tol: float = 1e-10) -> float:
 def kernel_truncated(eps: float, T: float, x: float, y: float,
                      tol: float = 1e-10) -> float:
     """Finite-window kernel: integral_eps^T (d/dt p_t)(x) p_t(y) dt."""
+    from scipy import integrate
+
     if eps < 0 or T < eps:
         raise InvalidInputError("need 0 <= eps <= T")
     if eps == T:

@@ -54,7 +54,7 @@ class PeriodicLattice:
             raise InvalidInputError("atoms, weights and phi must align")
         if len(w) == 0 or np.any(w <= 0):
             raise InvalidInputError("need at least one atom, all weights positive")
-        if np.any(np.abs(phi) > 1 + 1e-12):
+        if not np.all(np.abs(phi) <= 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "atom_steps", steps)
@@ -102,13 +102,6 @@ class PeriodicLattice:
         return float(self.weights.sum())
 
     # -- helpers -------------------------------------------------------------
-    def flat_index(self, coords) -> int:
-        coords = np.atleast_1d(np.asarray(coords, dtype=np.int64))
-        idx = 0
-        for a, n in enumerate(self.sizes):
-            idx = idx * n + (int(coords[a]) % n)
-        return idx
-
     def column(self, flat: int) -> np.ndarray:
         """The DFT column e^{2 pi i k.x/n} of the point x over the flat k."""
         x = np.unravel_index(int(flat), self.sizes)

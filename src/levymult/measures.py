@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .exceptions import ConvergenceError, InvalidInputError, UnsupportedMeasureError
 
@@ -110,12 +109,12 @@ class DiscreteLevyMeasure:
         return cls(np.vstack([np.atleast_1d(z) for z in locs]), np.array(ws))
 
     @classmethod
-    def axes(cls, d: int, weight: float = 1.0, spacing: float = 1.0):
-        """Atoms +-spacing*e_j on every coordinate axis, equal weights."""
+    def axes(cls, d: int, weight: float = 1.0):
+        """Atoms +-e_j on every coordinate axis, equal weights."""
         atoms = []
         for j in range(d):
             e = np.zeros(d)
-            e[j] = spacing
+            e[j] = 1.0
             atoms.append((e, weight))
             atoms.append((-e, weight))
         return cls.from_atoms(atoms)
@@ -226,9 +225,11 @@ class JumpModulator:
             raise InvalidInputError("sign pattern entries must be +-1")
         self.kind = kind
         self.payload = payload
-        if kind == "constant" and abs(payload["value"]) > 1 + 1e-15:
+        # written so that NaN fails the bound
+        if kind == "constant" and not abs(payload["value"]) <= 1 + 1e-15:
             raise InvalidInputError("|phi| must not exceed 1")
-        if kind == "per_axis" and np.any(np.abs(payload["coefficients"]) > 1 + 1e-15):
+        if kind == "per_axis" and not np.all(
+                np.abs(payload["coefficients"]) <= 1 + 1e-15):
             raise InvalidInputError("|phi| must not exceed 1")
 
     # -- constructors ------------------------------------------------------
@@ -301,7 +302,7 @@ class JumpModulator:
         pts = measure.directions if isinstance(measure, TruncatedStableMeasure) \
             else measure.locations
         vals = self.values_at(pts)
-        if np.any(np.abs(vals) > 1 + 1e-12):
+        if not np.all(np.abs(vals) <= 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
         i, j = np.nonzero(_close(-pts, pts))
         if np.any(np.abs(vals[i] - vals[j]) > 1e-12):
@@ -317,7 +318,7 @@ def stable_power_coefficient(alpha: float) -> float:
     """c(alpha) with  integral_0^inf (cos(b r) - 1) r**(-1-alpha) dr = c(alpha) |b|**alpha."""
     if not 0 < alpha < 2:
         raise InvalidInputError("alpha must lie in (0, 2)")
-    return -math.pi / (2.0 * math.sin(math.pi * alpha / 2.0) * _gamma(1.0 + alpha))
+    return -math.pi / (2.0 * math.sin(math.pi * alpha / 2.0) * math.gamma(1.0 + alpha))
 
 
 _EDGE = 10.0  # in b*eps: the power series below it, the rotated contour above
@@ -460,8 +461,7 @@ def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weigh
     every direction atom contributes individually, so the standard +-axis
     angular measure gives 2 * c(alpha) * sum_j |xi_j|**alpha.
     """
-    if not 0 < alpha < 2:
-        raise InvalidInputError("alpha must lie in (0, 2)")
+    c = stable_power_coefficient(alpha)  # rejects alpha outside (0, 2)
     dirs = _as_points(directions)
     w = np.asarray(angular_weights, dtype=float).ravel()
     if dirs.shape[0] != w.shape[0]:
@@ -474,7 +474,7 @@ def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weigh
     single = xi.ndim == 1
     pts = xi.reshape(-1, dirs.shape[1])
     proj = np.abs(pts @ dirs.T) ** alpha
-    vals = stable_power_coefficient(alpha) * (proj @ w)
+    vals = c * (proj @ w)
     return float(vals[0]) if single else vals.reshape(xi.shape[:-1])
 
 
@@ -675,8 +675,20 @@ def _reading(what):
 
 
 def _num(x):
-    # decimal strings are accepted and parsed losslessly into float
-    return float(x)
+    """A finite real from a real number or a decimal string; bools are refused."""
+    if isinstance(x, bool) or not isinstance(x, (str, numbers.Real)):
+        raise ValueError(f"{x!r} is not a real number")
+    value = float(x)  # a decimal string is parsed losslessly
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {x!r}")
+    return value
+
+
+def _bool(x):
+    """A JSON boolean, ``true`` or ``false``; nothing else is read as one."""
+    if not isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a boolean")
+    return x
 
 
 def _cnum(x):

@@ -196,13 +196,14 @@ class Sweep(list):
     members' norms), ``symbols`` (grid values and their symmetry test) and
     ``sweep`` (the transforms and ratios).  ``half_spectrum_symbols`` counts
     the symbols kept as a half spectrum, which real members take through
-    the real transforms.
+    the real transforms.  ``threads`` is the size of the member pool.
     """
 
-    def __init__(self, rows, seconds, half_spectrum_symbols):
+    def __init__(self, rows, seconds, half_spectrum_symbols, threads):
         super().__init__(rows)
         self.seconds = seconds
         self.half_spectrum_symbols = half_spectrum_symbols
+        self.threads = threads
 
 
 def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> Sweep:
@@ -247,7 +248,8 @@ def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> Sweep:
     factors = [_grid_factor(grid, symbol) for symbol in symbols]
     seconds["symbols"] = time.perf_counter() - start
     start = time.perf_counter()
-    with ThreadPoolExecutor(_pool_size(len(corpus))) as pool:
+    threads = _pool_size(len(corpus))
+    with ThreadPoolExecutor(threads) as pool:
         # ratios[member][symbol][k]; map yields in corpus order
         ratios = list(pool.map(
             lambda f, nf: _member_ratios(f, nf, factors, p_list),
@@ -263,4 +265,4 @@ def norm_ratio_sweep(symbols, corpus, p_list, ids=None) -> Sweep:
                                  best > bound * (1.0 + RATIO_SLACK)))
         sweeps.append(rows)
     half = sum(_is_half(factor, grid.sizes) for factor in factors)
-    return Sweep(sweeps, seconds, half)
+    return Sweep(sweeps, seconds, half, threads)

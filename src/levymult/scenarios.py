@@ -12,7 +12,14 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .grid import read_grid
 from .lattice import PeriodicLattice
-from .measures import _cnum, _int, _reading, measure_from_dict, modulator_from_dict
+from .measures import (
+    _cnum,
+    _int,
+    _num,
+    _reading,
+    measure_from_dict,
+    modulator_from_dict,
+)
 from .stochastic import Scenario
 
 __all__ = ["bump_profile", "shipped_scenarios", "scenario_by_name",
@@ -97,7 +104,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         measure = measure_from_dict(doc["measure"])
         modulator = modulator_from_dict(doc["modulator"])
         sizes = tuple(_int(n) for n in doc["sizes"])
-        h = float(doc.get("h", 1.0))
+        h = _num(doc.get("h", 1.0))
         lat = PeriodicLattice.from_measure(measure, modulator, sizes, h)
         fspec = doc["f"]
         if isinstance(fspec, dict):
@@ -108,6 +115,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         else:
             f = np.asarray([_cnum(v) for v in fspec])
         s, u = doc["window"]
-        cps = tuple(float(t) for t in doc.get("checkpoints", ()))
+        cps = tuple(_num(t) for t in doc.get("checkpoints", ()))
         return Scenario(str(doc["name"]), lat, f, _int(doc["x0"]),
-                        (float(s), float(u)), cps)
+                        (_num(s), _num(u)), cps)

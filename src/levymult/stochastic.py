@@ -28,6 +28,7 @@ from ._accel import rng as _rng
 from .exceptions import InvalidInputError
 from .grid import PStar
 from .lattice import PeriodicLattice
+from .symbols import _ratio
 
 __all__ = [
     "PoissonPath",
@@ -44,7 +45,6 @@ __all__ = [
     "LEVY_FUNCTIONALS",
     "projection_identity_check",
     "l1_mass_check",
-    "exchangeability_times",
 ]
 
 
@@ -72,6 +72,14 @@ class PoissonPath:
                           np.cumsum(self.jumps, axis=0)])
 
 
+def _boundary(lat: PeriodicLattice, f) -> np.ndarray:
+    """``f`` as flat complex values, one per lattice point."""
+    f = np.asarray(f, dtype=complex).ravel()
+    if f.size != lat.n_points:
+        raise InvalidInputError("boundary function size mismatch")
+    return f
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A shipped verification setup: lattice, measure, modulator, boundary f."""
@@ -84,9 +92,7 @@ class Scenario:
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex).ravel()
-        if f.size != self.lattice.n_points:
-            raise InvalidInputError("boundary function size mismatch")
+        f = _boundary(self.lattice, self.f)
         if not 0 <= self.x0 < self.lattice.n_points:
             raise InvalidInputError("base point is off the lattice")
         s, u = self.window
@@ -109,8 +115,6 @@ def sample_ensemble(lat: PeriodicLattice, window, n_paths: int, seed: int,
 def sample_path(lat: PeriodicLattice, window, seed: int,
                 path_index: int = 0) -> PoissonPath:
     """A single reproducible path (stream determined by seed and index)."""
-    if lat.total_rate <= 0:
-        raise InvalidInputError("measure has no mass")
     counts, offsets, times, aidx = sample_ensemble(lat, window, 1, seed,
                                                    first_path=path_index)
     jumps = lat.atom_steps[aidx]
@@ -248,7 +252,9 @@ def evolve_ensemble(scn: Scenario, n_paths: int, seed: int) -> EnsembleResult:
                           *rows, complex(pf0))
 
 
-def _mean_se(values):
+def _mean_var(values):
+    """The mean over paths (axis 0) and its variance, the sample variance
+    over n (that of the real part plus that of the imaginary part)."""
     values = np.asarray(values)
     n = len(values)
     mean = values.mean(axis=0)
@@ -256,7 +262,19 @@ def _mean_se(values):
         var = values.real.var(axis=0, ddof=1) + values.imag.var(axis=0, ddof=1)
     else:
         var = values.var(axis=0, ddof=1)
-    return mean, np.sqrt(var / n)
+    return mean, var / n
+
+
+def _mean_se(values):
+    mean, var = _mean_var(values)
+    return mean, np.sqrt(var)
+
+
+def _sigmas(diff, stderr) -> float:
+    """|diff| in standard errors; an exact 0 with stderr 0 is 0 sigmas."""
+    if stderr == 0.0:
+        return 0.0 if diff == 0 else math.inf
+    return abs(diff) / stderr
 
 
 @dataclass
@@ -269,9 +287,7 @@ class DriftRow:
 
     @property
     def sigmas(self) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.drift == 0 else math.inf
-        return abs(self.drift) / self.stderr
+        return _sigmas(self.drift, self.stderr)
 
     @property
     def passed(self) -> bool:
@@ -438,9 +454,7 @@ class LevySystemRow:
 
     @property
     def sigmas(self) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.lhs == self.rhs else math.inf
-        return abs(self.lhs - self.rhs) / self.stderr
+        return _sigmas(self.lhs - self.rhs, self.stderr)
 
     @property
     def passed(self) -> bool:
@@ -456,18 +470,14 @@ def _sample_jumps(lat: PeriodicLattice, window, n_paths: int, seed: int):
     return counts, Jumps(times, aidx, y, z)
 
 
-def levy_system_check(lat: PeriodicLattice, window, n_paths: int, seed: int,
-                      functionals=None) -> list[LevySystemRow]:
-    """Monte Carlo jump sums against the compensator integral, per functional."""
+def levy_system_check(lat: PeriodicLattice, window, n_paths: int,
+                      seed: int) -> list[LevySystemRow]:
+    """Monte Carlo jump sums against the compensator integral, one row per
+    functional of ``LEVY_FUNCTIONALS``, in its order."""
     s, t = window
     counts, jumps = _sample_jumps(lat, window, n_paths, seed)
     rows = []
-    for name in functionals if functionals is not None else LEVY_FUNCTIONALS:
-        if name not in LEVY_FUNCTIONALS:
-            raise InvalidInputError(
-                f"unknown functional {name!r}; the shipped library has "
-                f"{sorted(LEVY_FUNCTIONALS)} (all bounded on the lattice)")
-        fn = LEVY_FUNCTIONALS[name]
+    for name, fn in LEVY_FUNCTIONALS.items():
         mean, se = _mean_se(core.levy_ensemble(
             counts, fn.value(lat, float(s), jumps)))
         rows.append(LevySystemRow(name, float(mean), float(se),
@@ -486,7 +496,6 @@ class ProjectionResult:
     l2_error: float
     stderr_norm: float
     spec_norm: float
-    error_curve: list  # (n, l2 error) over nested prefixes
     grouped_curve: list  # (n, mean l2 error over disjoint n-path groups)
 
     @property
@@ -496,12 +505,9 @@ class ProjectionResult:
 
 def finite_time_lattice_symbol(lat: PeriodicLattice, s: float) -> np.ndarray:
     """m_s at the lattice frequencies: (1 - e^{2|s| psi}) sphi / psi, 0 at zeros."""
-    out = np.zeros(lat.n_points, dtype=complex)
-    nz = lat.psi != 0.0
     # sphi equals the modulated exponent: the sine parts cancel by symmetry
-    out[nz] = (1.0 - np.exp(2.0 * abs(s) * lat.psi[nz])) \
-        * lat.sphi[nz] / lat.psi[nz]
-    return out
+    return _ratio((1.0 - np.exp(2.0 * abs(s) * lat.psi)) * lat.sphi, lat.psi,
+                  lat.psi != 0.0)
 
 
 _MAX_RATE_WINDOW = 50.0  # guard on |s| * rate, the mean jumps per path
@@ -523,9 +529,7 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
         raise InvalidInputError(
             f"window depth |s| * rate = {abs(s) * lat.total_rate:.3g} exceeds "
             f"the variance guard {_MAX_RATE_WINDOW}")
-    f = np.asarray(f, dtype=complex).ravel()
-    if f.size != lat.n_points:
-        raise InvalidInputError("boundary function size mismatch")
+    f = _boundary(lat, f)
     u = 0.0
     counts, offsets, times, aidx = sample_ensemble(lat, (s, u), n_paths, seed)
     fhat = lat.fft(f)
@@ -534,19 +538,15 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
         lat.phase, lat.atom_steps, lat.phi, float(s), float(u),
         counts, offsets, times, aidx)
     h_spec = lat.ifft(finite_time_lattice_symbol(lat, s) * fhat)
-    mean_rows = rows.mean(axis=0)
-    var_rows = (rows.real.var(axis=0, ddof=1) + rows.imag.var(axis=0, ddof=1))
+    mean_rows, var_mean = _mean_var(rows)
     h_mc = lat.ifft(mean_rows)
     err = float(np.linalg.norm(h_mc - h_spec))
-    stderr_norm = float(np.sqrt((var_rows / n_paths).sum() / lat.n_points))
-    curve = []
+    stderr_norm = float(np.sqrt(var_mean.sum() / lat.n_points))
     grouped = []
     if n_curve:
         for n in n_curve:
             if n > n_paths:
                 raise InvalidInputError("curve size exceeds the ensemble")
-            hm = lat.ifft(rows[:n].mean(axis=0))
-            curve.append((int(n), float(np.linalg.norm(hm - h_spec))))
             # rms of the error over disjoint n-path groups: its square has
             # expectation trace(cov)/n exactly, so the n^{-1/2} scale is
             # pinned far more tightly than by a single prefix
@@ -556,7 +556,7 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
                 for g in range(k)]
             grouped.append((int(n), float(np.sqrt(np.mean(sq)))))
     return ProjectionResult(h_mc, h_spec, err, stderr_norm,
-                            float(np.linalg.norm(h_spec)), curve, grouped)
+                            float(np.linalg.norm(h_spec)), grouped)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +582,7 @@ def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     compensator half is deterministic.
     """
     s, t = window
-    f = np.asarray(f, dtype=complex).ravel()
+    f = _boundary(lat, f)
     norm1 = float(np.abs(f).sum() * lat.h ** lat.d)
     counts, _, _, aidx = sample_ensemble(lat, window, n_paths, seed)
     abs_phi = np.abs(lat.phi)
@@ -594,19 +594,3 @@ def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     closed = 4.0 * (t - s) * modulated_rate * norm1
     return L1MassResult(float(mean), float(se), closed)
 
-
-def exchangeability_times(lat: PeriodicLattice, window, n_paths: int,
-                          seed: int):
-    """Pooled jump times of the modal-count paths, normalised to (0, 1].
-
-    Conditioned on the jump count these are uniform order statistics, so the
-    pooled sample should pass a uniformity test.
-    """
-    s, u = window
-    counts, _, times, _ = sample_ensemble(lat, window, n_paths, seed)
-    pos = counts[counts > 0]
-    if len(pos) == 0:
-        raise InvalidInputError("no jumps in the ensemble")
-    modal = int(np.bincount(pos).argmax())
-    sel = np.repeat(counts == modal, counts)
-    return (times[sel] - s) / (u - s)

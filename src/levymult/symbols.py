@@ -26,6 +26,7 @@ from .measures import (
     _cnum,
     _coords,
     _int,
+    _num,
     _reading,
     char_exponent,
     measure_from_dict,
@@ -63,6 +64,12 @@ def _ratio(num, den, nz):
     return out
 
 
+def _check_axis(j: int, dimension: int) -> None:
+    """Axis indices are 1-based: 1 <= j <= d."""
+    if not 1 <= j <= dimension:
+        raise InvalidInputError("axis index out of range")
+
+
 class MultiplierSymbol:
     """Base class; subclasses set ``dimension`` and implement ``evaluate``."""
 
@@ -70,9 +77,6 @@ class MultiplierSymbol:
 
     def evaluate(self, xi) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, xi):
-        return self.evaluate(xi)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class ConstantSymbol(MultiplierSymbol):
     dimension: int = 1
 
     def __post_init__(self):
-        if abs(self.value) > 1 + 1e-15:
+        if not abs(self.value) <= 1 + 1e-15:
             raise InvalidInputError("constant symbol must satisfy |c| <= 1")
 
     def evaluate(self, xi):
@@ -145,8 +149,7 @@ class PowerSymbol(MultiplierSymbol):
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise InvalidInputError("alpha must lie in (0, 2]")
-        if not 1 <= self.j <= self.dimension:
-            raise InvalidInputError("axis index out of range")
+        _check_axis(self.j, self.dimension)
 
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
@@ -161,6 +164,9 @@ class Riesz2Symbol(MultiplierSymbol):
 
     j: int
     dimension: int
+
+    def __post_init__(self):
+        _check_axis(self.j, self.dimension)
 
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
@@ -177,6 +183,8 @@ class RieszPairSymbol(MultiplierSymbol):
     dimension: int
 
     def __post_init__(self):
+        _check_axis(self.j, self.dimension)
+        _check_axis(self.k, self.dimension)
         if self.j == self.k:
             raise InvalidInputError("pair indices must differ")
 
@@ -191,7 +199,7 @@ class RieszComboSymbol(MultiplierSymbol):
 
     def __init__(self, coefficients):
         coeff = np.asarray(coefficients, dtype=complex)
-        if np.any(np.abs(coeff) > 1 + 1e-15):
+        if not np.all(np.abs(coeff) <= 1 + 1e-15):
             raise InvalidInputError("combination coefficients must satisfy |a_j| <= 1")
         self.coefficients = coeff
         self.dimension = len(coeff)
@@ -224,6 +232,9 @@ class FirstOrderRieszSymbol(MultiplierSymbol):
 
     j: int
     dimension: int
+
+    def __post_init__(self):
+        _check_axis(self.j, self.dimension)
 
     def evaluate(self, xi):
         xi = _coords(xi, self.dimension)
@@ -271,9 +282,13 @@ def power_symbol_gradient(alpha: float, j: int, xi) -> np.ndarray:
     return np.array([g1, g2])
 
 
-def directional_limit(symbol: MultiplierSymbol, xi, eta, r0: float = 1e-2,
-                      levels: int = 6) -> complex:
-    """Diagnostic: lim_{r->0+} M(xi + r eta) by Richardson extrapolation.
+_LIMIT_R0 = 1e-2  # the largest step of directional_limit
+_LIMIT_LEVELS = 6  # its steps r0, r0/2, ..., r0/2**5
+
+
+def directional_limit(symbol: MultiplierSymbol, xi, eta) -> complex:
+    """Diagnostic: lim_{r->0+} M(xi + r eta) by Richardson extrapolation
+    over the steps r = 1e-2 / 2**k, k = 0..5.
 
     The limit generally depends on the direction eta at zeros of the
     exponent; this probe reports it without feeding it back into evaluation.
@@ -282,9 +297,9 @@ def directional_limit(symbol: MultiplierSymbol, xi, eta, r0: float = 1e-2,
     eta = np.asarray(eta, dtype=float)
     if not np.linalg.norm(eta) > 0:
         raise InvalidInputError("direction must be nonzero")
-    vals = np.array([complex(symbol.evaluate(xi + (r0 / 2 ** k) * eta))
-                     for k in range(levels)])
-    for j in range(1, levels):  # Neville table, step factor 2
+    vals = np.array([complex(symbol.evaluate(xi + (_LIMIT_R0 / 2 ** k) * eta))
+                     for k in range(_LIMIT_LEVELS)])
+    for j in range(1, _LIMIT_LEVELS):  # Neville table, step factor 2
         fac = 2.0 ** j
         vals = (fac * vals[1:] - vals[:-1]) / (fac - 1.0)
     return complex(vals[0])
@@ -334,9 +349,9 @@ def symbol_from_dict(doc: dict) -> MultiplierSymbol:
         if kind == "finite_time":
             return FiniteTimeSymbol(measure_from_dict(doc["measure"]),
                                     modulator_from_dict(doc["modulator"]),
-                                    float(doc["s"]))
+                                    _num(doc["s"]))
         if kind == "power":
-            return PowerSymbol(float(doc["alpha"]), _int(doc["j"]), _int(doc["d"]))
+            return PowerSymbol(_num(doc["alpha"]), _int(doc["j"]), _int(doc["d"]))
         if kind == "riesz2":
             return Riesz2Symbol(_int(doc["j"]), _int(doc["d"]))
         if kind == "riesz_pair":

@@ -29,8 +29,7 @@ def prewarm():
     costs."""
     scn = sc.scenario_by_name("walk_phi1")
     st.evolve_ensemble(scn, 8, seed=1)
-    st.levy_system_check(scn.lattice, scn.window, 8, seed=1,
-                         functionals=["ones"])
+    st.levy_system_check(scn.lattice, scn.window, 8, seed=1)
     st.projection_identity_check(scn.lattice, scn.f, -0.1, 8, seed=1)
     yield
 

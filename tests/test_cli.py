@@ -492,5 +492,68 @@ def test_apply_short_grid_file_exits_2(tmp_path, capsys):
     assert "truncated header" in capsys.readouterr().err
 
 
+RIESZ2 = {"kind": "riesz2", "j": 1, "d": 2}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("normratio", {"symbol": RIESZ2, "corpus": {"d": 2, "n": 16, "count": 2,
+                                                "mean_zero": "false"}}),
+    ("normratio", {"symbol": RIESZ2, "corpus": {"d": 2, "n": 16, "count": 4,
+                                                "period": "nan"}}),
+    ("symbol", {"symbol": {"kind": "power", "alpha": True, "j": 1, "d": 2},
+                "grid": {"n": 8}}),
+    ("symbol", {"symbol": RIESZ2, "grid": {"n": 8, "xi_max": True}}),
+    ("symbol", {"symbol": {"kind": "general", "measure": WALK,
+                           "modulator": {"kind": "constant", "value": "nan"}},
+                "grid": {"d": 1, "n": 8}}),
+    ("symbol", {"symbol": {"kind": "riesz_combo",
+                           "coefficients": ["nan", 0.5]},
+                "grid": {"n": 8}}),
+    ("kernel", {"points": {"x": [1.0], "y": [2.0]}, "eps": 1e-3, "T": True}),
+], ids=["mean_zero_text", "period_nan", "alpha_bool", "xi_max_bool",
+        "modulator_nan", "combo_coefficient_nan", "kernel_T_bool"])
+def test_config_real_and_boolean_fields_are_checked(tmp_path, command, cfg):
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["--config", path, "--out", str(tmp_path / "o"), command]) == 2
+    # a rejected config writes nothing
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_apply_input_must_be_a_path(tmp_path, capsys):
+    # an integer is no file name: open() would read that file descriptor
+    cfg = write_json(tmp_path / "c.json", {"input": 0, "symbol": RIESZ2})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "apply"]) == 2
+    assert "grid path must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j", [0, 3])
+@pytest.mark.parametrize("spec", [
+    {"kind": "power", "alpha": 1.0, "j": "J", "d": 2},
+    {"kind": "riesz2", "j": "J", "d": 2},
+    {"kind": "riesz_pair", "j": "J", "k": 1, "d": 2},
+    {"kind": "riesz_pair", "j": 1, "k": "J", "d": 2},
+    {"kind": "first_order_riesz", "j": "J", "d": 2},
+], ids=["power", "riesz2", "riesz_pair_j", "riesz_pair_k", "first_order_riesz"])
+def test_axis_index_out_of_range(tmp_path, capsys, spec, j):
+    # axes are 1-based, 1 <= j <= d, for every kind that names one
+    spec = {key: j if value == "J" else value for key, value in spec.items()}
+    with pytest.raises(lm.InvalidInputError, match="axis index out of range"):
+        lm.symbol_from_dict(spec)
+    cfg = write_json(tmp_path / "c.json", {"symbol": spec, "grid": {"n": 8}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "symbol"]) == 2
+    assert "axis index out of range" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lm.__file__))
+    code = ("import sys, levymult.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_usage_error_on_bad_command():
     assert main(["--config", "x.json", "definitely-not-a-command"]) == 2

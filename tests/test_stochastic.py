@@ -86,16 +86,15 @@ def test_gaps_are_exponential():
 
 
 def test_exchangeability_uniform_order_statistics():
+    # conditioned on their count, the jump times are uniform order
+    # statistics: the pooled times of the modal-count paths are uniform
     lat = walk_lattice()
-    tt = st.exchangeability_times(lat, (0.0, 1.0), 6000, seed=14)
-    assert stats.kstest(tt, "uniform").pvalue > 0.01
-    # the pooled times are exactly those of the modal-count paths
     counts, offsets, times, _ = st.sample_ensemble(lat, (0.0, 1.0), 6000,
                                                    seed=14)
     modal = np.bincount(counts[counts > 0]).argmax()
-    direct = np.concatenate([times[offsets[m]:offsets[m + 1]]
+    pooled = np.concatenate([times[offsets[m]:offsets[m + 1]]
                              for m in np.nonzero(counts == modal)[0]])
-    assert np.array_equal(tt, direct)
+    assert stats.kstest(pooled, "uniform").pvalue > 0.01
 
 
 def test_empty_measure_rejected():
@@ -125,7 +124,7 @@ def gauss_legendre_compensator(lat, path, x0, f, t, nodes_per_unit=160):
     fhat = lat.fft(f)
 
     def pf(coords, v):
-        flat = lat.flat_index(coords)
+        flat = np.ravel_multi_index(coords, lat.sizes, mode="wrap")
         return (fhat * np.exp((u - v) * lat.psi) * lat.column(flat)).sum() \
             / lat.n_points
 
@@ -163,7 +162,8 @@ def gl_terminal_f(lat, path, x0, f):
     for t, a in zip(path.times, path.atom_indices):
         new = pos + lat.atom_steps[a]
         pf_new, pf_old = ((fhat * np.exp((u - t) * lat.psi)
-                           * lat.column(lat.flat_index(c))).sum()
+                           * lat.column(np.ravel_multi_index(
+                               c, lat.sizes, mode="wrap"))).sum()
                           / lat.n_points for c in (new, pos))
         jsum += lat.phi[a] * (pf_new - pf_old)
         pos = new
@@ -314,7 +314,8 @@ def test_checkpoint_values_are_parabolic_extensions():
             positions = path.positions()
             for c, t in enumerate(scn.checkpoints):
                 jumped = np.searchsorted(path.times, t, side="right")
-                flat = lat.flat_index(start + positions[jumped])
+                flat = np.ravel_multi_index(start + positions[jumped],
+                                            lat.sizes, mode="wrap")
                 f_t = lat.parabolic(scn.f, u - t)
                 assert res.g_cp[idx, c] == pytest.approx(f_t[flat],
                                                          abs=1e-12)
@@ -410,12 +411,32 @@ def scale_compensator(monkeypatch):
     monkeypatch.setattr(core, "_blocks", scaled)
 
 
+def conjugate_phi(monkeypatch):
+    # phi is argument 6 of both kernels; skew_6x10 has phi = 0.5i on (0, +-1)
+    for name in ("evolve_ensemble", "projection_ensemble"):
+        kernel = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, kernel=kernel: kernel(
+            *args[:6], np.conj(args[6]), *args[7:]))
+
+
+def walk_one_step_ahead(monkeypatch):
+    walk = core.walk
+
+    def ahead(sizes, atom_steps, start, offsets, aidx):
+        return (walk(sizes, atom_steps, start, offsets, aidx)
+                + atom_steps[aidx]) % sizes
+    monkeypatch.setattr(core, "walk", ahead)
+
+
 @pytest.mark.parametrize("mutate, scenario, kernels", [
     (swap_axis_factors, "plane_axis_phi", (evolve_kernel_gap,
                                            projection_kernel_gap)),
     (drop_jump_factor, "skew_6x10", (projection_kernel_gap,)),
     (scale_compensator, "skew_6x10", (evolve_kernel_gap,
                                       projection_kernel_gap)),
+    (conjugate_phi, "skew_6x10", (evolve_kernel_gap, projection_kernel_gap)),
+    (walk_one_step_ahead, "skew_6x10", (evolve_kernel_gap,
+                                        projection_kernel_gap)),
 ])
 def test_kernel_defect_breaks_the_oracle_comparison(monkeypatch, mutate,
                                                     scenario, kernels):
@@ -587,7 +608,7 @@ def test_p2_isometry_chain():
 
 
 def _projection(l2_error, stderr_norm):
-    return st.ProjectionResult(None, None, l2_error, stderr_norm, 1.0, [], [])
+    return st.ProjectionResult(None, None, l2_error, stderr_norm, 1.0, [])
 
 
 @pytest.mark.parametrize("row, passed", [
@@ -640,27 +661,29 @@ def test_levy_system_all_functionals():
         assert r.passed, f"{r.name}: lhs={r.lhs} rhs={r.rhs} se={r.stderr}"
 
 
+def levy_row(rows, name):
+    return next(r for r in rows if r.name == name)
+
+
 def test_levy_system_counting_identity():
     # F == 1 reduces both sides to the expected jump count |nu| (t - s)
     lat = rich_lattice()
-    rows = st.levy_system_check(lat, (0.0, 0.7), 20000, seed=47,
-                                functionals=["ones"])
-    assert rows[0].rhs == pytest.approx(3.0 * 0.7, abs=1e-9)
+    rows = st.levy_system_check(lat, (0.0, 0.7), 20000, seed=47)
+    assert levy_row(rows, "ones").rhs == pytest.approx(3.0 * 0.7, abs=1e-9)
 
 
 def test_levy_system_atom_indicator_rate():
     # F = 1{jump == atom 0} has compensator weight_0 (t - s)
     lat = rich_lattice()
-    rows = st.levy_system_check(lat, (0.0, 1.0), 20000, seed=48,
-                                functionals=["jump_is_atom0"])
-    assert rows[0].rhs == pytest.approx(1.0, abs=1e-9)
+    rows = st.levy_system_check(lat, (0.0, 1.0), 20000, seed=48)
+    assert levy_row(rows, "jump_is_atom0").rhs == pytest.approx(1.0, abs=1e-9)
 
 
 def test_levy_system_odd_functional_vanishes():
     lat = rich_lattice()
-    rows = st.levy_system_check(lat, (0.0, 1.0), 20000, seed=49,
-                                functionals=["jump_coord_1"])
-    assert rows[0].rhs == 0.0  # symmetry kills the mean jump
+    rows = st.levy_system_check(lat, (0.0, 1.0), 20000, seed=49)
+    # symmetry kills the mean jump
+    assert levy_row(rows, "jump_coord_1").rhs == 0.0
 
 
 def test_levy_system_planar_lattice():
@@ -671,8 +694,7 @@ def test_levy_system_planar_lattice():
     rows = st.levy_system_check(lat, (0.0, 0.8), 15000, seed=50)
     for r in rows:
         assert r.passed, f"{r.name}: lhs={r.lhs} rhs={r.rhs} se={r.stderr}"
-    ones = next(r for r in rows if r.name == "ones")
-    assert ones.rhs == pytest.approx(3.0 * 0.8, abs=1e-9)
+    assert levy_row(rows, "ones").rhs == pytest.approx(3.0 * 0.8, abs=1e-9)
 
 
 def asymmetric_walk():
@@ -764,7 +786,7 @@ def test_projection_error_curve_shrinks():
     f = sc.bump_profile(32, 16.0, 2.0)
     pr = st.projection_identity_check(lat, f, -0.8, 32000, seed=55,
                                       n_curve=[500, 4000, 32000])
-    errs = [e for _, e in pr.error_curve]
+    errs = [e for _, e in pr.grouped_curve]
     assert errs[-1] < errs[0]
 
 
@@ -803,13 +825,6 @@ def test_projection_window_variance_guard():
         st.projection_identity_check(lat, np.zeros(32), -1e4, 100, seed=1)
 
 
-def test_levy_system_unknown_functional():
-    lat = walk_lattice()
-    with pytest.raises(InvalidInputError):
-        st.levy_system_check(lat, (0.0, 1.0), 100, seed=1,
-                             functionals=["unbounded_nonsense"])
-
-
 # ---------------------------------------------------------------------------
 # L1 mass
 # ---------------------------------------------------------------------------
@@ -827,6 +842,12 @@ def test_l1_mass_zero_function():
     mc, se, closed = st.l1_mass_check(scn.lattice, np.zeros(32), scn.window,
                                       1000, seed=62)
     assert mc == 0.0 and closed == 0.0
+
+
+def test_l1_mass_rejects_a_boundary_function_of_another_size():
+    lat = sc.scenario_by_name("walk_phi1").lattice  # 32 points
+    with pytest.raises(InvalidInputError, match="size mismatch"):
+        st.l1_mass_check(lat, np.ones(5), (0.0, 1.0), 100, seed=1)
 
 
 def test_l1_mass_window_linearity():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st_
 
 import levymult as lm
 from levymult import corpus as corpus_mod
+from levymult import grid as grid_mod
 from levymult import multiplier
 from levymult.corpus import CorpusConfig, build_corpus, cosine_bump, gaussian_bump
 from levymult.exceptions import InvalidInputError
@@ -32,6 +33,9 @@ def test_grid_validation():
         GridFunction((4,), (1.0,), np.zeros(4))  # too small
     with pytest.raises(InvalidInputError):
         GridFunction((8,), (0.0,), np.zeros(8))
+    for period in ((np.nan, 1.0), (np.inf, 1.0)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            GridFunction((8, 8), period, np.zeros((8, 8)))
     with pytest.raises(InvalidInputError):
         GridFunction((8,), (1.0,), np.full(8, np.nan))
 
@@ -95,29 +99,14 @@ def test_binary_roundtrip_bitwise(tmp_path):
     assert np.array_equal(g.samples, f.samples)
 
 
-def test_csv_export(tmp_path):
-    from levymult.grid import write_grid_csv
-
-    f = GridFunction((8,), (1.0,), np.arange(8) + 1j)
-    p1 = tmp_path / "f1.csv"
-    write_grid_csv(p1, f)
-    lines = p1.read_text().strip().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 9
-    x, re, im = (float(v) for v in lines[3].split(","))
-    assert (x, re, im) == (2 * 0.125, 2.0, 1.0)
-    g = GridFunction((8, 8), (1.0, 2.0), np.ones((8, 8)))
-    p2 = tmp_path / "f2.csv"
-    write_grid_csv(p2, g)
-    lines = p2.read_text().strip().splitlines()
-    assert lines[0] == "x,y,re,im" and len(lines) == 65
-
-
 def test_binary_rejects_garbage(tmp_path):
     p = tmp_path / "x.lmgf"
     p.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(InvalidInputError):
         read_grid(p)
+    # a number is no path: open() would take it as a file descriptor
+    with pytest.raises(InvalidInputError, match="grid path must be a string"):
+        read_grid(0)
 
 
 def test_binary_rejects_missing_file_and_short_header(tmp_path):
@@ -168,6 +157,30 @@ def test_first_order_orientation():
     out = apply_multiplier(f, lm.FirstOrderRieszSymbol(1, 1))
     target = GridFunction.from_callable(lambda x: -np.cos(x), (256,), (L,))
     assert np.abs(out.samples - target.samples).max() < 1e-12
+
+
+def read_symbol_at_plus_xi(monkeypatch):
+    monkeypatch.setattr(multiplier, "symbol_on_grid",
+                        lambda f, symbol: symbol.evaluate(f.frequencies()))
+
+
+def drop_cell_volume(monkeypatch):
+    norm = grid_mod._norm_of_abs
+    monkeypatch.setattr(grid_mod, "_norm_of_abs",
+                        lambda mags, p, cell_volume, scratch=None:
+                        norm(mags, p, 1.0, scratch))
+
+
+@pytest.mark.parametrize("mutate, check", [
+    (read_symbol_at_plus_xi, test_first_order_orientation),
+    (drop_cell_volume, test_lp_norm_sine_closed_form),
+], ids=["symbol_at_plus_xi", "no_cell_volume"])
+def test_spectral_defect_breaks_a_named_check(monkeypatch, mutate, check):
+    # each defect must turn a passing closed-form comparison into a failure
+    check()
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError):
+        check()
 
 
 def test_power_on_product_cosines():
