@@ -68,15 +68,15 @@ def _periodic_r2(sizes, period, center):
     return r2
 
 
-def gaussian_bump(sizes, period, center, width, amp=1.0):
-    """Periodised Gaussian; integral amp * (sqrt(2 pi) width)^d for width << L."""
-    return amp * np.exp(-_periodic_r2(sizes, period, center) / (2 * width * width))
+def gaussian_bump(sizes, period, center, width):
+    """Periodised Gaussian, unit peak; integral (sqrt(2 pi) width)^d for width << L."""
+    return np.exp(-_periodic_r2(sizes, period, center) / (2 * width * width))
 
 
-def cosine_bump(sizes, period, center, width, amp=1.0):
-    """Compact support: amp * cos^2(pi r / (2 w)) inside r < w, zero outside."""
+def cosine_bump(sizes, period, center, width):
+    """Compact support: cos^2(pi r / (2 w)) inside r < w, zero outside."""
     r = np.sqrt(_periodic_r2(sizes, period, center))
-    return np.where(r < width, amp * np.cos(np.pi * r / (2 * width)) ** 2, 0.0)
+    return np.where(r < width, np.cos(np.pi * r / (2 * width)) ** 2, 0.0)
 
 
 def build_corpus(config: CorpusConfig):

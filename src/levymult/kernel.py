@@ -131,7 +131,28 @@ def kernel_closed_form(x, y):
 
 
 def _integrand(t, x2, y2):
+    """pi^2 (d/dt p_t)(x) p_t(y) from x^2 and y^2."""
     return t * (x2 - t * t) / ((t * t + x2) ** 2 * (t * t + y2))
+
+
+def _time_integral(x2, y2, lo, hi, points, tol, tail, scale):
+    """(integral_lo^hi _integrand dt + tail) / scale by adaptive quadrature,
+    split at ``points``, with its absolute error held to ``tol``.
+
+    Raises ConvergenceError, carrying the estimate and quad's error bound
+    (both in the units of the result), if that bound exceeds ``tol``.
+    """
+    from scipy import integrate
+
+    val, err = integrate.quad(
+        _integrand, lo, hi, args=(x2, y2), points=points or None, limit=400,
+        epsabs=tol * scale * 0.5, epsrel=1e-13)
+    estimate, err = (val + tail) / scale, err / scale
+    if err > tol:
+        raise ConvergenceError(
+            f"kernel quadrature reached {err:.2e} > tol {tol:.2e}",
+            estimate=estimate, error_bound=err)
+    return estimate
 
 
 def kernel_numeric(x: float, y: float, tol: float = 1e-10) -> float:
@@ -140,45 +161,31 @@ def kernel_numeric(x: float, y: float, tol: float = 1e-10) -> float:
     Rescales to max(|x|, |y|) = 1 (the kernel is -2-homogeneous), splits at
     the sign change t = |x| and at t = |y|, and closes the range with the
     asymptotic tail - independent of the closed form, used as its oracle.
+    ``tol`` bounds the error of the rescaled time integral.
     """
-    from scipy import integrate
-
     if x == 0.0 and y == 0.0:
         raise SingularPointError("K is singular at the origin")
     s = max(abs(x), abs(y))
     xb, yb = abs(x) / s, abs(y) / s
     x2, y2 = xb * xb, yb * yb
     big = 1e3
-    val, err = integrate.quad(
-        _integrand, 0.0, big, args=(x2, y2),
-        points=[xb, yb, 1.0], limit=400, epsabs=tol * 0.5, epsrel=1e-13)
     # integrand = -t^-3 (1 - (3 x^2 + y^2)/t^2 + O(t^-4)) for large t
     tail = -1.0 / (2 * big * big) + (3 * x2 + y2) / (4 * big ** 4)
-    if err > tol:
-        raise ConvergenceError(
-            f"kernel quadrature reached {err:.2e} > tol {tol:.2e}",
-            estimate=(val + tail) / (PI2 * s * s), error_bound=err)
-    return (val + tail) / (PI2 * s * s)
+    scale = PI2 * s * s
+    return _time_integral(x2, y2, 0.0, big, [xb, yb, 1.0], tol / scale, tail,
+                          scale)
 
 
 def kernel_truncated(eps: float, T: float, x: float, y: float,
                      tol: float = 1e-10) -> float:
-    """Finite-window kernel: integral_eps^T (d/dt p_t)(x) p_t(y) dt."""
-    from scipy import integrate
-
+    """Finite-window kernel: integral_eps^T (d/dt p_t)(x) p_t(y) dt, within
+    ``tol``."""
     if eps < 0 or T < eps:
         raise InvalidInputError("need 0 <= eps <= T")
     if eps == T:
         return 0.0
     pts = [p for p in sorted({abs(x), abs(y)}) if eps < p < T]
-    val, err = integrate.quad(
-        lambda t: cauchy_density_dt(t, x) * cauchy_density(t, y),
-        eps, T, points=pts or None, limit=400, epsabs=tol * 0.5, epsrel=1e-13)
-    if err > tol:
-        raise ConvergenceError(
-            f"truncated-kernel quadrature reached {err:.2e} > tol {tol:.2e}",
-            estimate=val, error_bound=err)
-    return val
+    return _time_integral(x * x, y * y, eps, T, pts, tol, 0.0, PI2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .measures import DiscreteLevyMeasure, JumpModulator
+from .measures import DiscreteLevyMeasure, JumpModulator, _atom_list, _lattice_steps
 
 __all__ = ["PeriodicLattice"]
 
@@ -45,15 +45,15 @@ class PeriodicLattice:
             raise InvalidInputError("lattice dimension must be 1 or 2")
         if any(n < 2 for n in sizes):
             raise InvalidInputError("lattice sizes must be at least 2")
-        steps = np.atleast_2d(np.asarray(self.atom_steps, dtype=np.int64))
+        pts, w = _atom_list(self.atom_steps, self.weights, "lattice")
+        steps = pts.astype(np.int64)
+        if np.any(steps != pts):
+            raise InvalidInputError("lattice steps must be integers")
         if steps.shape[1] != len(sizes):
             raise InvalidInputError("atom step dimension mismatch")
-        w = np.asarray(self.weights, dtype=float).ravel()
         phi = np.asarray(self.phi, dtype=complex).ravel()
-        if len(w) != len(steps) or len(phi) != len(steps):
+        if len(phi) != len(steps):
             raise InvalidInputError("atoms, weights and phi must align")
-        if len(w) == 0 or np.any(w <= 0):
-            raise InvalidInputError("need at least one atom, all weights positive")
         if not np.all(np.abs(phi) <= 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
         object.__setattr__(self, "sizes", sizes)
@@ -65,13 +65,11 @@ class PeriodicLattice:
     @classmethod
     def from_measure(cls, measure: DiscreteLevyMeasure,
                      modulator: JumpModulator, sizes, h: float = 1.0):
-        """Wrap a lattice-supported discrete measure onto the torus."""
-        steps = measure.locations / h
-        if not np.allclose(steps, np.round(steps), rtol=0, atol=1e-9):
-            raise InvalidInputError("measure atoms are not on the lattice")
+        """Wrap a discrete measure with its atoms on the lattice of spacing h
+        onto the torus."""
+        steps = _lattice_steps(measure, h)
         phi = modulator.validate_on(measure)
-        return cls(sizes, h, np.round(steps).astype(np.int64),
-                   measure.weights.copy(), phi)
+        return cls(sizes, h, steps, measure.weights.copy(), phi)
 
     # -- derived tables ------------------------------------------------------
     def _build(self):

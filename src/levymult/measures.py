@@ -52,11 +52,28 @@ __all__ = [
 _ATOM_TOL = 1e-12
 
 
-def _as_points(points, d=None):
-    arr = np.atleast_2d(np.asarray(points, dtype=float))
-    if d is not None and arr.shape[1] != d:
-        raise InvalidInputError(f"expected {d}-vectors, got shape {arr.shape}")
-    return arr
+def _atom_list(points, weights, what):
+    """The (n, d) points and (n,) weights of ``what``'s atom list, checked:
+    d is 1 or 2, n >= 1, every value finite and every weight positive."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    w = np.asarray(weights, dtype=float).ravel()
+    if pts.ndim != 2 or pts.shape[1] not in (1, 2):
+        raise InvalidInputError(f"{what}: dimension must be 1 or 2")
+    if len(pts) == 0:
+        raise InvalidInputError(f"{what} needs at least one atom")
+    if len(pts) != len(w):
+        raise InvalidInputError(f"{what}: points and weights length mismatch")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+        raise InvalidInputError(f"{what} has non-finite atom data")
+    if np.any(w <= 0):
+        raise InvalidInputError(f"{what}: weights must be positive")
+    return pts, w
+
+
+def _axis_atoms(d):
+    """The 2d points +-e_j, in the order e_1, -e_1, e_2, -e_2, ..."""
+    eye = np.eye(d)
+    return np.stack([eye, -eye], axis=1).reshape(2 * d, d)
 
 
 def _close(points, keys):
@@ -87,16 +104,7 @@ class DiscreteLevyMeasure:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        loc = _as_points(self.locations)
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if loc.shape[0] != w.shape[0]:
-            raise InvalidInputError("locations and weights length mismatch")
-        if loc.shape[1] not in (1, 2):
-            raise InvalidInputError("dimension must be 1 or 2")
-        if not np.all(np.isfinite(loc)) or not np.all(np.isfinite(w)):
-            raise InvalidInputError("non-finite atom data")
-        if np.any(w <= 0):
-            raise InvalidInputError("weights must be positive")
+        loc, w = _atom_list(self.locations, self.weights, "measure")
         if np.any(np.all(np.abs(loc) <= _ATOM_TOL, axis=1)):
             raise InvalidInputError("no atom may sit at the origin")
         _check_symmetric_atoms(loc, w, "measure")
@@ -106,18 +114,12 @@ class DiscreteLevyMeasure:
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple]) -> "DiscreteLevyMeasure":
         locs, ws = zip(*((np.atleast_1d(z), w) for z, w in atoms))
-        return cls(np.vstack([np.atleast_1d(z) for z in locs]), np.array(ws))
+        return cls(np.vstack(locs), np.array(ws))
 
     @classmethod
-    def axes(cls, d: int, weight: float = 1.0):
-        """Atoms +-e_j on every coordinate axis, equal weights."""
-        atoms = []
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            atoms.append((e, weight))
-            atoms.append((-e, weight))
-        return cls.from_atoms(atoms)
+    def axes(cls, d: int):
+        """Unit atoms on +-e_j for every coordinate axis."""
+        return cls(_axis_atoms(d), np.ones(2 * d))
 
     @property
     def dimension(self) -> int:
@@ -150,14 +152,8 @@ class TruncatedStableMeasure:
             raise InvalidInputError("epsilon must be positive")
         if not self.outer_radius > self.epsilon:
             raise InvalidInputError("outer_radius must exceed epsilon")
-        dirs = _as_points(self.directions)
-        w = np.asarray(self.angular_weights, dtype=float).ravel()
-        if dirs.shape[0] != w.shape[0]:
-            raise InvalidInputError("directions and weights length mismatch")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInputError("non-finite angular weights")
-        if np.any(w <= 0):
-            raise InvalidInputError("angular weights must be positive")
+        dirs, w = _atom_list(self.directions, self.angular_weights,
+                             "angular measure")
         norms = np.linalg.norm(dirs, axis=1)
         if not np.allclose(norms, 1.0, rtol=0, atol=1e-9):
             raise InvalidInputError("directions must be unit vectors")
@@ -168,13 +164,7 @@ class TruncatedStableMeasure:
     @classmethod
     def axes(cls, d: int, alpha: float, epsilon: float, outer_radius: float = math.inf):
         """The standard angular measure: unit atoms on +-e_j for every axis."""
-        dirs, ws = [], []
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            dirs += [e, -e]
-            ws += [1.0, 1.0]
-        return cls(alpha, epsilon, np.vstack(dirs), np.array(ws), outer_radius)
+        return cls(alpha, epsilon, _axis_atoms(d), np.ones(2 * d), outer_radius)
 
     @property
     def dimension(self) -> int:
@@ -198,6 +188,16 @@ class TruncatedStableMeasure:
         """
         return float(self.angular_weights.sum()
                      * abs(stable_power_coefficient(self.alpha)))
+
+
+def _atoms(measure):
+    """(points, weights) of a measure's atom list: a discrete measure's
+    locations and weights, a stable one's directions and angular weights."""
+    if isinstance(measure, DiscreteLevyMeasure):
+        return measure.locations, measure.weights
+    if isinstance(measure, TruncatedStableMeasure):
+        return measure.directions, measure.angular_weights
+    raise UnsupportedMeasureError(f"unsupported measure type {type(measure)!r}")
 
 
 class JumpModulator:
@@ -258,7 +258,7 @@ class JumpModulator:
     # -- evaluation --------------------------------------------------------
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """phi evaluated at the rows of ``points`` (atom or direction list)."""
-        pts = _as_points(points)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = pts.shape
         if self.kind == "constant":
             return np.full(n, self.payload["value"], dtype=complex)
@@ -299,8 +299,7 @@ class JumpModulator:
         an identically-zero symbol) are rejected rather than silently zeroed.
         Returns the atom-aligned values.
         """
-        pts = measure.directions if isinstance(measure, TruncatedStableMeasure) \
-            else measure.locations
+        pts, _ = _atoms(measure)
         vals = self.values_at(pts)
         if not np.all(np.abs(vals) <= 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
@@ -420,21 +419,20 @@ def _jump_integral(measure, coeff, xi):
     ``coeff`` is c: one value for every atom, or one value per atom of a
     discrete measure or per direction of a truncated stable one.
     """
+    atoms, weights = _atoms(measure)
     xi = _coords(xi, measure.dimension)
     pts = xi.reshape(-1, measure.dimension)
+    w = weights * coeff
     if isinstance(measure, DiscreteLevyMeasure):
-        vals = (np.cos(pts @ measure.locations.T) - 1.0) @ (measure.weights * coeff)
-    elif isinstance(measure, TruncatedStableMeasure):
-        w = measure.angular_weights * coeff
+        vals = (np.cos(pts @ atoms.T) - 1.0) @ w
+    else:
         # a direction with c = 0 adds +-0.0 to sums that start at +0.0,
         # which changes no value: it is not integrated
-        proj = np.abs(pts @ measure.directions.T)
+        proj = np.abs(pts @ atoms.T)
         vals = np.zeros(pts.shape[0], dtype=w.dtype)
         for i in np.flatnonzero(w):
             vals += w[i] * _radial_integral(proj[:, i], measure.alpha,
                                             measure.epsilon, measure.outer_radius)
-    else:
-        raise UnsupportedMeasureError(f"unsupported measure type {type(measure)!r}")
     return vals.reshape(xi.shape[:-1])
 
 
@@ -454,27 +452,19 @@ def char_exponent(measure, xi):
     return float(psi) if psi.ndim == 0 else psi
 
 
-def char_exponent_stable_closed_form(alpha: float, xi, directions, angular_weights):
+def char_exponent_stable_closed_form(measure: TruncatedStableMeasure, xi):
     """c(alpha) * sum_i m_i |xi . theta_i|**alpha  (no truncation).
 
-    This is the exact exponent of the untruncated polar measure.  Note that
-    every direction atom contributes individually, so the standard +-axis
+    The exact exponent of ``measure``'s polar form with epsilon -> 0 and no
+    outer radius: only its alpha, directions and angular weights are read.
+    Every direction atom contributes individually, so the standard +-axis
     angular measure gives 2 * c(alpha) * sum_j |xi_j|**alpha.
     """
-    c = stable_power_coefficient(alpha)  # rejects alpha outside (0, 2)
-    dirs = _as_points(directions)
-    w = np.asarray(angular_weights, dtype=float).ravel()
-    if dirs.shape[0] != w.shape[0]:
-        raise InvalidInputError("directions and weights length mismatch")
-    if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(w))):
-        raise InvalidInputError("directions and weights must be finite")
-    if np.any(w < 0):
-        raise InvalidInputError("angular weights must be nonnegative")
-    xi = _coords(xi, dirs.shape[1])
+    alpha, d = measure.alpha, measure.dimension
+    xi = _coords(xi, d)
     single = xi.ndim == 1
-    pts = xi.reshape(-1, dirs.shape[1])
-    proj = np.abs(pts @ dirs.T) ** alpha
-    vals = c * (proj @ w)
+    proj = np.abs(xi.reshape(-1, d) @ measure.directions.T) ** alpha
+    vals = stable_power_coefficient(alpha) * (proj @ measure.angular_weights)
     return float(vals[0]) if single else vals.reshape(xi.shape[:-1])
 
 
@@ -488,17 +478,40 @@ def modulated_exponent(measure, modulator: JumpModulator, xi):
 # transition measures p_t on a lattice
 # ---------------------------------------------------------------------------
 
-def _float_gcd(values, tol=1e-9):
-    vals = sorted(v for v in np.abs(np.asarray(values, float)).ravel() if v > tol)
+# a step z/h may miss an integer by this much; the gcd counts coordinates
+# below it as zero and stops at a remainder below it times the largest one
+_LATTICE_TOL = 1e-9
+
+
+def _float_gcd(values):
+    vals = sorted(v for v in np.abs(np.asarray(values, float)).ravel()
+                  if v > _LATTICE_TOL)
     if not vals:
         raise UnsupportedMeasureError("measure has no nonzero coordinates")
     g = vals[0]
     for v in vals[1:]:
         a, b = v, g
-        while b > tol * vals[-1]:
+        while b > _LATTICE_TOL * vals[-1]:
             a, b = b, math.fmod(a, b)
         g = a
     return g
+
+
+def _lattice_steps(measure, h):
+    """The integer steps z/h of a discrete measure's atoms z, each within
+    ``_LATTICE_TOL`` of an integer; UnsupportedMeasureError otherwise."""
+    if not isinstance(measure, DiscreteLevyMeasure):
+        raise UnsupportedMeasureError(
+            f"a lattice needs a discrete measure, not {type(measure).__name__}")
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidInputError(
+            f"lattice spacing must be positive and finite, got {h!r}")
+    steps = measure.locations / h
+    rounded = np.round(steps)
+    if not np.allclose(steps, rounded, rtol=0, atol=_LATTICE_TOL):
+        raise UnsupportedMeasureError(
+            f"measure atoms are not on the lattice of spacing {h!r}")
+    return rounded.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -577,20 +590,17 @@ def transition_measure(measure: DiscreteLevyMeasure, t: float,
                        tol: float = 1e-12) -> TransitionMeasure:
     """Truncated p_t = e^{-t|nu|} sum_{n <= n_max} t^n/n! nu^{*n} on the lattice.
 
-    All atoms must sit on a common lattice (inferred scale h).  n_max is the
-    smallest n with Poisson(t|nu|) tail below ``tol``; the realised tail is
-    recorded on the result.
+    The measure must be discrete with its atoms on a common lattice, whose
+    spacing h is inferred.  n_max is the smallest n with Poisson(t|nu|) tail
+    below ``tol``; the realised tail is recorded on the result.
     """
     if t < 0:
         raise InvalidInputError("t must be nonnegative")
+    h = _float_gcd(_atoms(measure)[0])
+    steps = _lattice_steps(measure, h)  # rejects a measure that is not discrete
     lam = t * measure.total_mass
     if lam > _MAX_RATE:
         raise InvalidInputError(f"t*|nu| = {lam:.3g} exceeds the guard {_MAX_RATE}")
-    h = _float_gcd(measure.locations)
-    steps = measure.locations / h
-    if not np.allclose(steps, np.round(steps), rtol=0, atol=1e-9):
-        raise UnsupportedMeasureError("atoms do not share a common lattice")
-    steps = np.round(steps).astype(int)
     d = measure.dimension
 
     # Poisson weights and truncation order
@@ -640,23 +650,20 @@ def levy_khinchin_check(measure: DiscreteLevyMeasure, t: float, xi,
 # ---------------------------------------------------------------------------
 
 def measure_to_dict(measure) -> dict:
+    points, weights = _atoms(measure)
     if isinstance(measure, DiscreteLevyMeasure):
-        return {
-            "kind": "discrete",
-            "atoms": [{"z": list(map(float, z)), "w": float(w)}
-                      for z, w in zip(measure.locations, measure.weights)],
-        }
-    if isinstance(measure, TruncatedStableMeasure):
-        return {
+        doc = {"kind": "discrete"}
+    else:
+        doc = {
             "kind": "stable",
             "alpha": float(measure.alpha),
             "epsilon": float(measure.epsilon),
             "outer_radius": None if math.isinf(measure.outer_radius)
             else float(measure.outer_radius),
-            "atoms": [{"z": list(map(float, z)), "w": float(w)}
-                      for z, w in zip(measure.directions, measure.angular_weights)],
         }
-    raise UnsupportedMeasureError(f"cannot serialise {type(measure)!r}")
+    doc["atoms"] = [{"z": list(map(float, z)), "w": float(w)}
+                    for z, w in zip(points, weights)]
+    return doc
 
 
 @contextmanager

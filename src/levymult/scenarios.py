@@ -33,8 +33,9 @@ def bump_profile(n: int, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * (d / width) ** 2)
 
 
-def _lat(atoms, weights, phi, sizes, h=1.0):
-    return PeriodicLattice(sizes, h,
+def _lat(atoms, weights, phi, sizes):
+    """A unit-spacing lattice."""
+    return PeriodicLattice(sizes, 1.0,
                            np.asarray(atoms, dtype=np.int64),
                            np.asarray(weights, dtype=float),
                            np.asarray(phi, dtype=complex))

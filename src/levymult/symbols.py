@@ -22,7 +22,7 @@ import numpy as np
 from .exceptions import InvalidInputError, SingularPointError
 from .measures import (
     JumpModulator,
-    TruncatedStableMeasure,
+    _atoms,
     _cnum,
     _coords,
     _int,
@@ -104,8 +104,7 @@ class GeneralSymbol(MultiplierSymbol):
         modulator.validate_on(measure)  # rejects asymmetric phi
         self.dimension = measure.dimension
         self._zero_thresh = ZERO_DENOM_REL * measure.exponent_scale
-        pts = measure.directions if isinstance(measure, TruncatedStableMeasure) \
-            else measure.locations
+        pts, _ = _atoms(measure)
         if np.linalg.matrix_rank(pts, tol=1e-12) < self.dimension:
             # exponent zeros then fill a whole subspace; still evaluatable
             warnings.warn("measure support is degenerate (atoms span a proper "

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from levymult import cli
+from levymult.grid import GridFunction, write_grid
+from levymult.kernel import weight_table_meta
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -49,6 +51,33 @@ def test_tracer_sees_verify_and_normratio(tmp_path):
     assert tracer.counts["core.evolve_paths"] == 8
     assert tracer.counts["rng.jumps"] > 0
     assert tracer.counts["symbols.points"] > 0
+
+
+def test_tracer_counts_the_spectral_side(tmp_path):
+    # the counters read apply_multiplier's grid argument and the kernel
+    # evaluations of the p.v. weight table
+    n, period = 16, 2 * np.pi
+    x = np.arange(n) * (period / n)
+    grid = tmp_path / "f.lmgf"
+    write_grid(grid, GridFunction((n, n), (period, period),
+                                  np.cos(x)[:, None] * np.sin(2 * x)))
+    apply = write_json(tmp_path / "a.json", {
+        "input": str(grid), "output": "g.lmgf",
+        "symbol": {"kind": "power", "alpha": 1.0, "j": 1, "d": 2}})
+    kernel = write_json(tmp_path / "k.json", {"pv": {
+        "input": str(grid), "rho": 2 * period / n, "output": "pv.lmgf"}})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["--config", apply, "--out", str(tmp_path / "a"),
+                         "apply"]) == 0
+        assert cli.main(["--config", kernel, "--out", str(tmp_path / "k"),
+                         "kernel"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["multiplier.fft_points"] == n * n
+    assert (tracer.counts["kernel.kernel_evals"]
+            == weight_table_meta((n, n))["kernel_evals"])
 
 
 def test_environment_names_the_backend():

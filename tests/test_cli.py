@@ -318,6 +318,24 @@ def test_verify_inline_scenario(tmp_path):
     assert rep["scenarios"]["inline_walk"]["subordination"]["violations"] == 0
 
 
+def test_verify_inline_stable_scenario_exits_2(tmp_path, capsys):
+    # a Monte Carlo scenario runs on a lattice, which needs a discrete
+    # measure; a stable one raised AttributeError and exited 1, the code of
+    # a failed verification
+    doc = {"name": "stable_walk",
+           "measure": {"kind": "stable", "alpha": 1.0, "epsilon": 0.5,
+                       "atoms": [{"z": [1.0], "w": 1.0},
+                                 {"z": [-1.0], "w": 1.0}]},
+           "modulator": {"kind": "constant", "value": 1.0},
+           "sizes": [16], "f": [1.0] * 16, "x0": 3, "window": [0.0, 1.0]}
+    cfg = write_json(tmp_path / "c.json", {"scenarios": [doc], "n_paths": 8})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "discrete measure" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "verify.json").exists()
+
+
 def test_kernel_pv_mode_writes_grid(tmp_path):
     n = 64
     f = GridFunction.from_callable(

@@ -10,6 +10,7 @@ from scipy import integrate
 import levymult as lm
 from levymult import measures
 from levymult.exceptions import InvalidInputError, UnsupportedMeasureError
+from levymult.lattice import PeriodicLattice
 from levymult.measures import (
     dumps_measure,
     loads_measure,
@@ -43,6 +44,29 @@ def test_rejects_asymmetric_measure():
 def test_rejects_nonpositive_weight():
     with pytest.raises(InvalidInputError):
         lm.DiscreteLevyMeasure.from_atoms([([1.0], -1.0), ([-1.0], -1.0)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda pts, w: lm.DiscreteLevyMeasure(pts, w),
+    lambda pts, w: lm.TruncatedStableMeasure(1.0, 0.1, pts, w),
+], ids=["discrete", "stable"])
+def test_three_dimensional_atoms_are_rejected(build):
+    # a 3-D stable measure was accepted, and its symbol evaluated to 0.174
+    # at (1, 2, 3), though every exponent here is for d = 1 or 2
+    with pytest.raises(InvalidInputError, match="dimension must be 1 or 2"):
+        build(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lm.DiscreteLevyMeasure(np.zeros((0, 2)), []),
+    lambda: lm.TruncatedStableMeasure(1.0, 0.1, np.zeros((0, 2)), []),
+    lambda: PeriodicLattice((8,), 1.0, np.zeros((0, 1), dtype=int), [], []),
+], ids=["discrete", "stable", "lattice"])
+def test_empty_atom_list_is_rejected(build):
+    # an empty measure gave a symbol that is 0 everywhere, with only a
+    # degenerate-support warning to show for it
+    with pytest.raises(InvalidInputError, match="at least one atom"):
+        build()
 
 
 def test_stable_validation():
@@ -81,16 +105,15 @@ def test_char_exponent_rejects_nonfinite():
 @pytest.mark.parametrize("xi", [[1.0, 2.0, 3.0, 4.0], np.ones((3, 4)), 0.5])
 def test_wrong_dimension_xi_rejected(xi):
     # a 4-vector against 2-D atoms must not reshape into two frequencies
-    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     mod = lm.JumpModulator.axis_indicator(1)
-    for m in (lm.DiscreteLevyMeasure.axes(2),
-              lm.TruncatedStableMeasure.axes(2, 1.0, 0.1)):
+    stable = lm.TruncatedStableMeasure.axes(2, 1.0, 0.1)
+    for m in (lm.DiscreteLevyMeasure.axes(2), stable):
         with pytest.raises(InvalidInputError):
             lm.char_exponent(m, xi)
         with pytest.raises(InvalidInputError):
             lm.modulated_exponent(m, mod, xi)
     with pytest.raises(InvalidInputError):
-        lm.char_exponent_stable_closed_form(1.0, xi, axes, np.ones(4))
+        lm.char_exponent_stable_closed_form(stable, xi)
 
 
 def quad_radial(b, alpha):
@@ -116,8 +139,7 @@ def test_stable_closed_form_constant():
     # c_1 = -pi/2: sin(pi/2) = 1 and Gamma(2) = 1
     assert lm.stable_power_coefficient(1.0) == pytest.approx(-np.pi / 2, abs=1e-14)
     st = lm.TruncatedStableMeasure.axes(1, 1.0, 1e-6)
-    val = lm.char_exponent_stable_closed_form(
-        1.0, np.array([2.0]), st.directions, st.angular_weights)
+    val = lm.char_exponent_stable_closed_form(st, np.array([2.0]))
     assert val == pytest.approx(-2 * np.pi, abs=1e-12)
 
 
@@ -125,19 +147,16 @@ def test_stable_closed_form_alpha_half_oracle():
     # 2 * integral (cos r - 1) r^(-1.5) dr with the quadrature oracle
     oracle = 2 * quad_radial(1.0, 0.5)
     st = lm.TruncatedStableMeasure.axes(1, 0.5, 1e-6)
-    val = lm.char_exponent_stable_closed_form(
-        0.5, np.array([1.0]), st.directions, st.angular_weights)
+    val = lm.char_exponent_stable_closed_form(st, np.array([1.0]))
     assert val == pytest.approx(oracle, rel=1e-8)
-    assert lm.char_exponent_stable_closed_form(
-        0.5, np.zeros(1), st.directions, st.angular_weights) == 0.0
+    assert lm.char_exponent_stable_closed_form(st, np.zeros(1)) == 0.0
 
 
 def test_stable_closed_form_rejects_bad_alpha():
-    st = lm.TruncatedStableMeasure.axes(1, 0.5, 1e-6)
     for bad in (0.0, 2.0, -1.0):
         with pytest.raises(InvalidInputError):
             lm.char_exponent_stable_closed_form(
-                bad, np.ones(1), st.directions, st.angular_weights)
+                lm.TruncatedStableMeasure.axes(1, bad, 1e-6), np.ones(1))
 
 
 @pytest.mark.parametrize("dirs, weights", [
@@ -146,21 +165,22 @@ def test_stable_closed_form_rejects_bad_alpha():
     (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(3)),
     (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, np.nan])),
     (np.array([[1.0, 0.0], [np.inf, 0.0]]), np.ones(2)),
+    (np.array([[1.0, 0.0]]), np.ones(1)),  # gave -pi/2 with no mirror atom
 ])
 def test_stable_closed_form_rejects_bad_measure(dirs, weights):
-    # negative weights gave +28.27 (an exponent is <= 0); a short weight
-    # vector raised a bare numpy error from the matmul
+    # when the closed form took raw arrays, negative weights gave +28.27 (an
+    # exponent is <= 0); now it reads a measure, whose constructor rejects all
     with pytest.raises(InvalidInputError):
-        lm.char_exponent_stable_closed_form(1.0, np.array([1.0, 2.0]),
-                                            dirs, weights)
+        lm.char_exponent_stable_closed_form(
+            lm.TruncatedStableMeasure(1.0, 0.1, dirs, weights),
+            np.array([1.0, 2.0]))
 
 
 def test_truncated_vs_closed_form_converges():
     # the missing inner window contributes ~ b^2 eps^(2-alpha) / (2 (2-alpha))
     alpha, b = 1.3, 1.7
     closed = lm.char_exponent_stable_closed_form(
-        alpha, np.array([b]),
-        np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        lm.TruncatedStableMeasure.axes(1, alpha, 1.0), np.array([b]))
     prev = None
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         st = lm.TruncatedStableMeasure.axes(1, alpha, eps)
@@ -618,6 +638,29 @@ def test_transition_off_lattice_error():
         [([1.0], 1.0), ([-1.0], 1.0), ([np.sqrt(2)], 1.0), ([-np.sqrt(2)], 1.0)])
     with pytest.raises(UnsupportedMeasureError):
         lm.transition_measure(m, 1.0)
+
+
+def _stable_1d():
+    return lm.TruncatedStableMeasure.axes(1, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lm.transition_measure(_stable_1d(), 0.5),
+    lambda: PeriodicLattice.from_measure(
+        _stable_1d(), lm.JumpModulator.constant(1.0), (8,)),
+], ids=["transition_measure", "from_measure"])
+def test_lattice_needs_a_discrete_measure(call):
+    # both raised AttributeError on a stable measure
+    with pytest.raises(UnsupportedMeasureError, match="discrete measure"):
+        call()
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_lattice_spacing_must_be_positive(h):
+    # h = 0 divided every atom to inf and wrapped the steps to -2**63
+    with pytest.raises(InvalidInputError, match="spacing must be positive and finite"):
+        PeriodicLattice.from_measure(lm.DiscreteLevyMeasure.axes(1),
+                                     lm.JumpModulator.constant(1.0), (8,), h)
 
 
 def test_transition_2d():

@@ -844,6 +844,21 @@ def test_l1_mass_zero_function():
     assert mc == 0.0 and closed == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lattice_rejects_non_finite_weights(bad):
+    # a NaN weight made total_rate NaN and filled the tables with NaN; an
+    # infinite one failed in the sampler with a bare OverflowError
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        PeriodicLattice((8,), 1.0, [[1], [-1]], [1.0, bad], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("steps", [[[1.5], [-1.5]], [[np.nan], [1.0]]])
+def test_lattice_rejects_steps_off_the_integers(steps):
+    # 1.5 was truncated to 1 and NaN cast to -2**63, both without an error
+    with pytest.raises(InvalidInputError, match="integers|non-finite"):
+        PeriodicLattice((8,), 1.0, steps, [1.0, 1.0], [1.0, 1.0])
+
+
 def test_l1_mass_rejects_a_boundary_function_of_another_size():
     lat = sc.scenario_by_name("walk_phi1").lattice  # 32 points
     with pytest.raises(InvalidInputError, match="size mismatch"):
