@@ -214,6 +214,13 @@ def _timed(seconds, stage, fn, *args):
     return out
 
 
+def _table_bytes(lat):
+    """The lattice's phase, psi and sphi tables plus the projection kernel's
+    complex (A + 1) x P jump table."""
+    jump = (len(lat.weights) + 1) * lat.n_points * np.dtype(complex).itemsize
+    return lat.phase.nbytes + lat.psi.nbytes + lat.sphi.nbytes + jump
+
+
 def _row(row, *keys):
     """A ``verify.json`` row: the named fields and the row's own verdict."""
     return {**{key: getattr(row, key) for key in keys}, "pass": row.passed}
@@ -248,7 +255,9 @@ def cmd_verify(args) -> int:
                       scn.lattice, scn.f, -(scn.window[1] - scn.window[0]),
                       n_paths, seed + 5)
         stages[name] = {"seconds": seconds, "paths": n_paths,
-                        "jumps": res.n_jumps, "modes": scn.lattice.n_points}
+                        "jumps": res.n_jumps, "modes": scn.lattice.n_points,
+                        "projection_pairs": proj.pairs,
+                        "table_bytes": _table_bytes(scn.lattice)}
         entry = {
             "drift": [_row(r, "process", "t1", "t2", "drift", "stderr",
                            "sigmas") for r in drift],

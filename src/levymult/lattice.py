@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .measures import DiscreteLevyMeasure, JumpModulator, _atom_list, _lattice_steps
+from .measures import (
+    DiscreteLevyMeasure,
+    JumpModulator,
+    _atom_list,
+    _close,
+    _lattice_spacing,
+    _lattice_steps,
+    _same_weight,
+)
 
 __all__ = ["PeriodicLattice"]
 
@@ -30,7 +38,9 @@ class PeriodicLattice:
     """Geometry + spectral tables shared by every stochastic check.
 
     atoms/weights describe the jump measure in integer lattice steps; ``phi``
-    holds the modulator values aligned with the atom list.
+    holds the modulator values aligned with the atom list.  ``mirror[a]`` is
+    the first atom whose step is -step(a) and whose weight equals a's, or -1
+    if there is none.
     """
 
     sizes: tuple
@@ -57,6 +67,7 @@ class PeriodicLattice:
         if not np.all(np.abs(phi) <= 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "h", _lattice_spacing(self.h))
         object.__setattr__(self, "atom_steps", steps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "phi", phi)
@@ -94,6 +105,10 @@ class PeriodicLattice:
         n_roots = math.lcm(*sizes)
         self.phase = np.exp(2j * np.pi * np.arange(n_roots) / n_roots)
         self.cum_weights = np.cumsum(self.weights) / self.weights.sum()
+        w = self.weights
+        match = (_close(-self.atom_steps, self.atom_steps)
+                 & _same_weight(w[:, None], w[None, :]))
+        self.mirror = np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
     @property
     def total_rate(self) -> float:

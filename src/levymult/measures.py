@@ -83,12 +83,17 @@ def _close(points, keys):
                   axis=-1)
 
 
+def _same_weight(a, b):
+    """Positive weights a and b equal to a relative 1e-12 (broadcast)."""
+    return np.abs(a - b) <= 1e-12 * np.maximum(a, b)
+
+
 def _check_symmetric_atoms(locations, weights, what):
     """nu(A) = nu(-A): at each atom z, the weight within tolerance of z equals
     the weight within tolerance of -z (to a relative 1e-12)."""
     here = _close(locations, locations) @ weights
     mirror = _close(-locations, locations) @ weights
-    bad = ~(np.abs(here - mirror) <= 1e-12 * np.maximum(here, mirror))
+    bad = ~_same_weight(here, mirror)
     if np.any(bad):
         i = np.argmax(bad)
         raise InvalidInputError(
@@ -497,16 +502,21 @@ def _float_gcd(values):
     return g
 
 
+def _lattice_spacing(h) -> float:
+    """The lattice spacing h as a float, checked positive and finite."""
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidInputError(
+            f"lattice spacing must be positive and finite, got {h!r}")
+    return float(h)
+
+
 def _lattice_steps(measure, h):
     """The integer steps z/h of a discrete measure's atoms z, each within
     ``_LATTICE_TOL`` of an integer; UnsupportedMeasureError otherwise."""
     if not isinstance(measure, DiscreteLevyMeasure):
         raise UnsupportedMeasureError(
             f"a lattice needs a discrete measure, not {type(measure).__name__}")
-    if not (math.isfinite(h) and h > 0):
-        raise InvalidInputError(
-            f"lattice spacing must be positive and finite, got {h!r}")
-    steps = measure.locations / h
+    steps = measure.locations / _lattice_spacing(h)
     rounded = np.round(steps)
     if not np.allclose(steps, rounded, rtol=0, atol=_LATTICE_TOL):
         raise UnsupportedMeasureError(

@@ -412,17 +412,22 @@ def _mean_jump(lat):
     return math.fsum(lat.weights * lat.atom_steps[:, 0] * lat.h)
 
 
-def _position_cos_value(lat, s, jp):
+def _jump_sq(lat):
+    return math.fsum(lat.weights * (lat.atom_steps[:, 0] * lat.h) ** 2)
+
+
+def _position_cos(lat, jp):
     n = lat.sizes[0]  # y_1 centred before the cosine
     y = ((jp.y[:, 0] + n // 2) % n - n // 2) * lat.h
-    return np.cos(2.0 * np.pi * y / (n * lat.h)) * _jump_coord(lat, s, jp)
+    return np.cos(2.0 * np.pi * y / (n * lat.h))
 
 
-def _position_cos_compensator(lat, span):
+def _position_cos_compensator(lat, span, moment):
     """m Re int_0^span e^{v c} dv = m int_0^span E cos(theta X_1) dv, with
     c = sum_a w_a (e^{i theta z_a1} - 1) at theta = 2 pi / n_1 (psi_1, the
-    lattice exponent, for a symmetric measure)."""
-    m = _mean_jump(lat)
+    lattice exponent, for a symmetric measure) and m = ``moment(lat)``, the
+    jump factor's compensator sum_a w_a g(z_a)."""
+    m = moment(lat)
     c = complex(lat.weights @ np.expm1(2j * np.pi * lat.atom_steps[:, 0]
                                        / lat.sizes[0]))
     return m * span if c == 0.0 else m * float((np.expm1(span * c) / c).real)
@@ -440,8 +445,14 @@ LEVY_FUNCTIONALS = {
     "time_weighted_jump_1": LevyFunctional(
         lambda lat, s, jp: (jp.v - s) * _jump_coord(lat, s, jp),
         lambda lat, span: _mean_jump(lat) * span ** 2 / 2.0),
-    "position_cos_jump_1": LevyFunctional(_position_cos_value,
-                                          _position_cos_compensator),
+    "position_cos_jump_1": LevyFunctional(
+        lambda lat, s, jp: _position_cos(lat, jp) * _jump_coord(lat, s, jp),
+        lambda lat, span: _position_cos_compensator(lat, span, _mean_jump)),
+    # even in z and position-dependent: nonzero on a symmetric measure too
+    "position_cos_jump_sq_1": LevyFunctional(
+        lambda lat, s, jp: (_position_cos(lat, jp)
+                            * _jump_coord(lat, s, jp) ** 2),
+        lambda lat, span: _position_cos_compensator(lat, span, _jump_sq)),
 }
 
 
@@ -497,6 +508,7 @@ class ProjectionResult:
     stderr_norm: float
     spec_norm: float
     grouped_curve: list  # (n, mean l2 error over disjoint n-path groups)
+    pairs: int  # the mirrored pairs the mean and stderr are taken over
 
     @property
     def passed(self) -> bool:
@@ -513,6 +525,24 @@ def finite_time_lattice_symbol(lat: PeriodicLattice, s: float) -> np.ndarray:
 _MAX_RATE_WINDOW = 50.0  # guard on |s| * rate, the mean jumps per path
 
 
+def _mirrored(lat: PeriodicLattice, counts, offsets, times, aidx):
+    """The ensemble followed by its mirror: the same jump times, every atom
+    a replaced by ``lat.mirror[a]``, whose step is -step(a)."""
+    return (np.concatenate([counts, counts]),
+            np.concatenate([offsets, offsets[-1] + offsets[1:]]),
+            np.concatenate([times, times]),
+            np.concatenate([aidx, lat.mirror[aidx]]))
+
+
+def _pair_means(rows):
+    """The means of rows i and i + n/2, formed in place in the first half,
+    which is returned: no second (n, P) array exists."""
+    half = rows.shape[0] // 2
+    rows[:half] += rows[half:]
+    rows[:half] *= 0.5
+    return rows[:half]
+
+
 def projection_identity_check(lat: PeriodicLattice, f, s: float,
                               n_paths: int, seed: int, n_curve=None) -> ProjectionResult:
     """Recover the finite-time multiplier from path functionals.
@@ -522,6 +552,15 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     function with spectrum m_s(k) fhat(k).  Works on the window (s, 0].
     Long windows blow up the per-path jump count and hence the Monte Carlo
     variance, so |s| * rate is guarded.
+
+    The measure is symmetric, so a path and its mirror (every jump z
+    replaced by -z, the same jump times) are equally likely.  Base path i is
+    path i of the ``n_paths // 2``-path ensemble at ``seed``; it and its
+    mirror go through the kernel together, and the mean and its stderr are
+    taken over the ``n_paths // 2`` pair means.  ``n_paths`` must be even
+    and at least 4, every atom needs a mirror of equal weight, and each
+    ``n_curve`` size counts paths, so it is even: its groups are n/2
+    consecutive pair means.
     """
     if not s < 0:
         raise InvalidInputError("s must be negative (window (s, 0])")
@@ -529,34 +568,48 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
         raise InvalidInputError(
             f"window depth |s| * rate = {abs(s) * lat.total_rate:.3g} exceeds "
             f"the variance guard {_MAX_RATE_WINDOW}")
+    if n_paths % 2 or n_paths < 4:
+        raise InvalidInputError(
+            f"the projection check pairs paths: n_paths must be even and at "
+            f"least 4, got {n_paths}")
+    if np.any(lat.mirror < 0):
+        a = int(np.argmax(lat.mirror < 0))
+        raise InvalidInputError(
+            f"the projection check needs a symmetric lattice: atom {a} (step "
+            f"{lat.atom_steps[a].tolist()}, weight {lat.weights[a]}) has no "
+            f"mirror of equal weight")
     f = _boundary(lat, f)
     u = 0.0
-    counts, offsets, times, aidx = sample_ensemble(lat, (s, u), n_paths, seed)
+    half = n_paths // 2
+    counts, offsets, times, aidx = _mirrored(
+        lat, *sample_ensemble(lat, (s, u), half, seed))
     fhat = lat.fft(f)
     rows = core.projection_ensemble(
         np.asarray(lat.sizes, dtype=np.int64), lat.psi, fhat, lat.sphi,
         lat.phase, lat.atom_steps, lat.phi, float(s), float(u),
         counts, offsets, times, aidx)
+    pairs = _pair_means(rows)
     h_spec = lat.ifft(finite_time_lattice_symbol(lat, s) * fhat)
-    mean_rows, var_mean = _mean_var(rows)
+    mean_rows, var_mean = _mean_var(pairs)
     h_mc = lat.ifft(mean_rows)
     err = float(np.linalg.norm(h_mc - h_spec))
     stderr_norm = float(np.sqrt(var_mean.sum() / lat.n_points))
     grouped = []
-    if n_curve:
-        for n in n_curve:
-            if n > n_paths:
-                raise InvalidInputError("curve size exceeds the ensemble")
-            # rms of the error over disjoint n-path groups: its square has
-            # expectation trace(cov)/n exactly, so the n^{-1/2} scale is
-            # pinned far more tightly than by a single prefix
-            k = n_paths // n
-            sq = [np.linalg.norm(
-                lat.ifft(rows[g * n:(g + 1) * n].mean(axis=0)) - h_spec) ** 2
-                for g in range(k)]
-            grouped.append((int(n), float(np.sqrt(np.mean(sq)))))
+    for n in n_curve or ():
+        if n % 2 or not 2 <= n <= n_paths:
+            raise InvalidInputError(
+                f"curve size {n} must be even and within the ensemble")
+        # rms of the error over disjoint groups of n/2 pair means: its
+        # square has expectation trace(cov)/(n/2) exactly, cov that of a
+        # pair mean, so the n^{-1/2} scale is pinned far more tightly than
+        # by a single prefix
+        m = n // 2
+        sq = [np.linalg.norm(
+            lat.ifft(pairs[g * m:(g + 1) * m].mean(axis=0)) - h_spec) ** 2
+            for g in range(half // m)]
+        grouped.append((int(n), float(np.sqrt(np.mean(sq)))))
     return ProjectionResult(h_mc, h_spec, err, stderr_norm,
-                            float(np.linalg.norm(h_spec)), grouped)
+                            float(np.linalg.norm(h_spec)), grouped, half)
 
 
 # ---------------------------------------------------------------------------

@@ -384,8 +384,30 @@ def test_verify_run_meta_records_stages(tmp_path):
                                         scenario_by_name(name).window, 200, 7)
         assert (entry["paths"], entry["jumps"], entry["modes"]) == \
             (200, int(counts.sum()), modes)
+        # the projection check pairs each base path with its mirror
+        assert entry["projection_pairs"] == 100
+        lat = scenario_by_name(name).lattice
+        jump = core._jump_table(np.asarray(lat.sizes), lat.phase,
+                                lat.atom_steps, lat.phi)
+        assert entry["table_bytes"] == (lat.phase.nbytes + lat.psi.nbytes
+                                        + lat.sphi.nbytes + jump.nbytes)
+    assert meta["scenarios"]["plane_axis_phi"]["table_bytes"] == \
+        16 * 16 + 256 * 8 + 256 * 16 + 5 * 256 * 16
     report = (tmp_path / "o" / "verify.json").read_text()
     assert "seconds" not in report and "jumps" not in report
+    assert "projection_pairs" not in report and "table_bytes" not in report
+
+
+@pytest.mark.parametrize("n_paths", [201, 2])
+def test_verify_projection_path_count_exits_2(tmp_path, capsys, n_paths):
+    # the projection check pairs paths: an odd count or one below 4 is a
+    # usage error, reported before any report is written
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1"], "n_paths": n_paths, "seed": 7})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) == 2
+    assert "even and at least 4" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify.json").exists()
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):

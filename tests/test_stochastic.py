@@ -469,6 +469,8 @@ def test_levy_sums_match_direct_sum():
                     "jump_coord_1": z,
                     "time_weighted_jump_1": (path.times - s) * z,
                     "position_cos_jump_1": np.cos(2 * np.pi * y / period) * z,
+                    "position_cos_jump_sq_1":
+                        np.cos(2 * np.pi * y / period) * z ** 2,
                 }[name]
                 assert sums[m] == pytest.approx(direct.sum(), abs=1e-12)
 
@@ -608,7 +610,7 @@ def test_p2_isometry_chain():
 
 
 def _projection(l2_error, stderr_norm):
-    return st.ProjectionResult(None, None, l2_error, stderr_norm, 1.0, [])
+    return st.ProjectionResult(None, None, l2_error, stderr_norm, 1.0, [], 2)
 
 
 @pytest.mark.parametrize("row, passed", [
@@ -710,6 +712,13 @@ def test_levy_system_asymmetric_measure():
     for r in rows:
         assert r.rhs != 0.0
         assert r.passed, f"{r.name}: lhs={r.lhs} rhs={r.rhs} se={r.stderr}"
+
+
+def test_levy_system_has_a_nonzero_rhs_on_every_shipped_scenario():
+    fn = st.LEVY_FUNCTIONALS["position_cos_jump_sq_1"]
+    for scn in sc.shipped_scenarios():
+        span = scn.window[1] - scn.window[0]
+        assert fn.compensator(scn.lattice, span) > 0.0, scn.name
 
 
 def assert_only_row_fails(rows, name):
@@ -825,6 +834,94 @@ def test_projection_window_variance_guard():
         st.projection_identity_check(lat, np.zeros(32), -1e4, 100, seed=1)
 
 
+def test_mirror_map_pairs_opposite_steps_of_equal_weight():
+    assert rich_lattice().mirror.tolist() == [1, 0, 3, 2]
+    plane = sc.scenario_by_name("plane_axis_phi").lattice
+    assert plane.mirror.tolist() == [1, 0, 3, 2]
+    # atom 0 (+1, weight 2) has no mirror; atom 1 (-1, weight 1) neither
+    assert asymmetric_walk().mirror.tolist() == [-1, -1]
+
+
+def test_projection_kernel_sees_each_base_path_then_its_mirror(monkeypatch):
+    lat, n, seed, s = rich_lattice(), 40, 58, -0.8
+    seen = []
+    projection = core.projection_ensemble
+
+    def spy(*args):
+        seen.append(args[-4:])
+        return projection(*args)
+
+    monkeypatch.setattr(core, "projection_ensemble", spy)
+    st.projection_identity_check(lat, sc.bump_profile(32, 16.0, 2.0), s, n,
+                                 seed)
+    (counts, offsets, times, aidx), = seen
+    base = st.sample_ensemble(lat, (s, 0.0), n // 2, seed)
+    h, jumps = n // 2, int(base[1][-1])
+    assert np.array_equal(counts, np.tile(base[0], 2))
+    assert np.array_equal(offsets[:h + 1], base[1])
+    assert np.array_equal(offsets[h:] - jumps, base[1])
+    assert np.array_equal(times, np.tile(base[2], 2))
+    assert np.array_equal(aidx[:jumps], base[3])
+    assert np.array_equal(aidx[jumps:], lat.mirror[base[3]])
+    assert np.array_equal(lat.atom_steps[aidx[jumps:]],
+                          -lat.atom_steps[base[3]])
+
+
+def projection_stderr_gap(n=400, seed=57, s=-0.8):
+    """Relative gap of the check's stderr_norm from one recomputed over the
+    pair means of kernel rows for the base paths and their mirrors."""
+    lat = walk_lattice()
+    f = sc.bump_profile(32, 16.0, 2.0)
+    pr = st.projection_identity_check(lat, f, s, n, seed)
+    counts, offsets, times, aidx = st.sample_ensemble(lat, (s, 0.0), n // 2,
+                                                      seed)
+
+    def rows(atoms):
+        return core.projection_ensemble(
+            np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(f),
+            lat.sphi, lat.phase, lat.atom_steps, lat.phi, s, 0.0,
+            counts, offsets, times, atoms)
+
+    pair = 0.5 * (rows(aidx) + rows(1 - aidx))  # the walk's atoms are +1, -1
+    var = pair.real.var(axis=0, ddof=1) + pair.imag.var(axis=0, ddof=1)
+    oracle = np.sqrt(var.sum() / (n // 2) / lat.n_points)
+    assert np.abs(pr.h_mc - lat.ifft(pair.mean(axis=0))).max() < 1e-12
+    return abs(pr.stderr_norm - oracle) / oracle
+
+
+def test_projection_stderr_is_over_pair_means():
+    assert projection_stderr_gap() < 1e-12
+
+
+def test_projection_stderr_oracle_catches_a_per_path_stderr(monkeypatch):
+    # the stderr over all n_paths rows, unpaired, is not that of the pairs
+    monkeypatch.setattr(st, "_pair_means", lambda rows: rows)
+    assert projection_stderr_gap() > 0.1
+
+
+def test_projection_rejects_a_lattice_without_mirrors():
+    # on this drifting walk the check failed at ~144 sigma on correct code:
+    # the lattice symbol and the real psi assume a symmetric measure
+    with pytest.raises(InvalidInputError, match="atom 0 .* no mirror"):
+        st.projection_identity_check(asymmetric_walk(),
+                                     sc.bump_profile(8, 4.0, 2.0), -0.8,
+                                     2000, seed=1)
+
+
+@pytest.mark.parametrize("n_paths", [0, 2, 3, 401])
+def test_projection_needs_an_even_path_count_of_at_least_4(n_paths):
+    with pytest.raises(InvalidInputError, match="even and at least 4"):
+        st.projection_identity_check(walk_lattice(), np.zeros(32), -0.8,
+                                     n_paths, seed=1)
+
+
+@pytest.mark.parametrize("n_curve", [[3], [0], [402]])
+def test_projection_curve_sizes_are_even_and_within_the_ensemble(n_curve):
+    with pytest.raises(InvalidInputError, match="curve size"):
+        st.projection_identity_check(walk_lattice(), np.zeros(32), -0.8,
+                                     400, seed=1, n_curve=n_curve)
+
+
 # ---------------------------------------------------------------------------
 # L1 mass
 # ---------------------------------------------------------------------------
@@ -850,6 +947,13 @@ def test_lattice_rejects_non_finite_weights(bad):
     # infinite one failed in the sampler with a bare OverflowError
     with pytest.raises(InvalidInputError, match="non-finite"):
         PeriodicLattice((8,), 1.0, [[1], [-1]], [1.0, bad], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, np.nan, np.inf])
+def test_lattice_spacing_is_checked_by_the_constructor(h):
+    # h = -1 was accepted, and l1_mass_check then passed a negative mass
+    with pytest.raises(InvalidInputError, match="spacing"):
+        PeriodicLattice((8,), h, [[1], [-1]], [1.0, 1.0], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("steps", [[[1.5], [-1.5]], [[np.nan], [1.0]]])
