@@ -207,11 +207,12 @@ def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
             np.add.reduceat(af > ag, firsts), lemma, pf0)
 
 
-def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
+def projection_ensemble(sizes, psi, sphi, phase, atom_steps, atom_phi,
                         s, u, counts, offsets, times, aidx):
-    """Fourier rows of H(w) = F_u(w - X_u), one per path from the origin:
+    """Fourier rows R of H(w) = F_u(w - X_u), one per path from the origin,
+    for the f with fhat = 1 (a boundary function f has the rows fhat * R):
 
-    row_k = (jump part - compensator part)_k * e^{-2 pi i k.X_u/n}.
+    R_k = (jump part - compensator part)_k * e^{-2 pi i k.X_u/n}.
     """
     start = np.zeros(sizes.shape[0], np.int64)
     ev = _events(sizes, atom_steps, start, u, offsets, times, aidx,
@@ -228,7 +229,7 @@ def projection_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi,
         amp *= col
         firsts = ev.off[p0:p1 + 1] - ev.off[p0]
         # each path's last event is u, where the column is that of X_u
-        rows[p0:p1] = (fhat * np.add.reduceat(amp, firsts[:-1])
+        rows[p0:p1] = (np.add.reduceat(amp, firsts[:-1])
                        * np.conj(col[firsts[1:] - 1]))
     return rows
 

@@ -4,8 +4,8 @@ A stateless splitmix-style permutation maps (seed, path, stream, counter) to
 a 64-bit word; uniforms are the top 53 bits.  Every path owns its stream, so
 ensembles are reproducible and independent of worker count or generation
 order, and any prefix of an ensemble is a deterministic sub-ensemble.  The
-projection check pairs base path i with its mirror, which reuses path i's
-stream, so there this holds pair by pair.
+projection check draws only base paths and reads each mirror's row off its
+base path's, so there this holds pair by pair.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .multiplier import apply_multiplier, norm_ratio_sweep
 from .scenarios import scenario_by_name, scenario_from_dict, shipped_scenarios
 from .stochastic import (
     burkholder_bound_check,
+    check_projection_inputs,
     evolve_ensemble,
     l1_mass_check,
     levy_system_check,
@@ -42,6 +43,15 @@ from .symbols import symbol_from_dict
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+_SEED_END = 1 << 64  # seeds are unsigned 64-bit integers
+
+
+def _seed(x) -> int:
+    """A seed: an integer in [0, 2^64 - 1]."""
+    seed = _int(x)
+    if not 0 <= seed < _SEED_END:
+        raise InvalidInputError(f"seed {seed} is outside [0, 2^64 - 1]")
+    return seed
 
 
 def _load_config(path):
@@ -132,7 +142,7 @@ def cmd_normratio(args) -> int:
         d=d, n=_int(ccfg.get("n", 256 if d == 2 else 4096)),
         period=_num(ccfg.get("period", 2 * np.pi)),
         count=_int(ccfg.get("count", 20)),
-        seed=_int(ccfg.get("seed", args.seed)),
+        seed=_seed(ccfg.get("seed", args.seed)),
         mean_zero=_bool(ccfg.get("mean_zero", False)))
     p_list = [_num(p) for p in cfg.get("p_list", [4 / 3, 1.5, 2.0, 3.0, 4.0])]
     seconds = {}
@@ -226,34 +236,41 @@ def _row(row, *keys):
     return {**{key: getattr(row, key) for key in keys}, "pass": row.passed}
 
 
+def _scenario(name):
+    """A shipped scenario by name, or an inline scenario document."""
+    if isinstance(name, dict):
+        return scenario_from_dict(name)
+    try:
+        return scenario_by_name(name)
+    except KeyError:
+        raise InvalidInputError(f"unknown scenario {name!r}")
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     names = cfg.get("scenarios", [s.name for s in shipped_scenarios()])
     n_paths = _int(cfg.get("n_paths", 20000))
-    seed = _int(cfg.get("seed", args.seed))
+    seed = _seed(cfg.get("seed", args.seed))
     p_list = [_num(p) for p in cfg.get("p_list", [1.5, 2, 3])]
+    scenarios = [_scenario(name) for name in names]
+    for scn in scenarios:  # a usage error before the first ensemble runs
+        check_projection_inputs(scn.lattice, scn.window[0] - scn.window[1],
+                                n_paths)
     report = {"seed": seed, "n_paths": n_paths, "scenarios": {}}
     stages = {}  # per scenario, for run_meta.json only
     failed = False
-    for name in names:
-        if isinstance(name, dict):  # inline scenario document
-            scn = scenario_from_dict(name)
-            name = scn.name
-        else:
-            try:
-                scn = scenario_by_name(name)
-            except KeyError:
-                raise InvalidInputError(f"unknown scenario {name!r}")
+    for scn in scenarios:
+        name = scn.name
         seconds = {}
         res = _timed(seconds, "ensemble", evolve_ensemble, scn, n_paths, seed)
         drift, tower = martingale_property_check(res)
         levy = _timed(seconds, "levy_system", levy_system_check, scn.lattice,
-                      scn.window, n_paths, seed + 3)
+                      scn.window, n_paths, (seed + 3) % _SEED_END)
         l1 = _timed(seconds, "l1_mass", l1_mass_check, scn.lattice, scn.f,
-                    scn.window, n_paths, seed + 4)
+                    scn.window, n_paths, (seed + 4) % _SEED_END)
         proj = _timed(seconds, "projection", projection_identity_check,
-                      scn.lattice, scn.f, -(scn.window[1] - scn.window[0]),
-                      n_paths, seed + 5)
+                      scn.lattice, scn.f, scn.window[0] - scn.window[1],
+                      n_paths, (seed + 5) % _SEED_END)
         stages[name] = {"seconds": seconds, "paths": n_paths,
                         "jumps": res.n_jumps, "modes": scn.lattice.n_points,
                         "projection_pairs": proj.pairs,
@@ -294,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "kernel evaluation and stochastic verification.")
     ap.add_argument("--config", required=True, help="JSON config path")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--seed", type=int, default=2024, help="master seed")
+    ap.add_argument("--seed", type=int, default=2024,
+                    help="master seed, in [0, 2^64 - 1]")
     ap.add_argument("command", choices=["symbol", "apply", "normratio",
                                         "kernel", "verify"])
     return ap
@@ -310,6 +328,7 @@ def main(argv=None) -> int:
                "normratio": cmd_normratio, "kernel": cmd_kernel,
                "verify": cmd_verify}[args.command]
     try:
+        _seed(args.seed)  # a bad --seed is a usage error for every command
         return handler(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,10 +24,8 @@ from .measures import (
     DiscreteLevyMeasure,
     JumpModulator,
     _atom_list,
-    _close,
     _lattice_spacing,
     _lattice_steps,
-    _same_weight,
 )
 
 __all__ = ["PeriodicLattice"]
@@ -38,9 +36,9 @@ class PeriodicLattice:
     """Geometry + spectral tables shared by every stochastic check.
 
     atoms/weights describe the jump measure in integer lattice steps; ``phi``
-    holds the modulator values aligned with the atom list.  ``mirror[a]`` is
-    the first atom whose step is -step(a) and whose weight equals a's, or -1
-    if there is none.
+    holds the modulator values aligned with the atom list.  The lattice need
+    not be symmetric: the Levy-system check runs on drifting walks too, and
+    the projection check states its own symmetry rule.
     """
 
     sizes: tuple
@@ -105,10 +103,6 @@ class PeriodicLattice:
         n_roots = math.lcm(*sizes)
         self.phase = np.exp(2j * np.pi * np.arange(n_roots) / n_roots)
         self.cum_weights = np.cumsum(self.weights) / self.weights.sum()
-        w = self.weights
-        match = (_close(-self.atom_steps, self.atom_steps)
-                 & _same_weight(w[:, None], w[None, :]))
-        self.mirror = np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
     @property
     def total_rate(self) -> float:

@@ -83,22 +83,28 @@ def _close(points, keys):
                   axis=-1)
 
 
-def _same_weight(a, b):
-    """Positive weights a and b equal to a relative 1e-12 (broadcast)."""
-    return np.abs(a - b) <= 1e-12 * np.maximum(a, b)
-
-
 def _check_symmetric_atoms(locations, weights, what):
     """nu(A) = nu(-A): at each atom z, the weight within tolerance of z equals
     the weight within tolerance of -z (to a relative 1e-12)."""
     here = _close(locations, locations) @ weights
     mirror = _close(-locations, locations) @ weights
-    bad = ~_same_weight(here, mirror)
+    # written so that a NaN weight fails
+    bad = ~(np.abs(here - mirror) <= 1e-12 * np.maximum(here, mirror))
     if np.any(bad):
         i = np.argmax(bad)
         raise InvalidInputError(
             f"{what} is not symmetric: no mirror for atom {locations[i]} "
             f"(weight {weights[i]})")
+
+
+def _check_even_phi(locations, phi, what):
+    """phi(-z) = phi(z): at any two atoms within tolerance of opposite
+    points, the values agree within 1e-12."""
+    i, j = np.nonzero(_close(-locations, locations))
+    bad = i[np.abs(phi[i] - phi[j]) > 1e-12]
+    if bad.size:
+        raise InvalidInputError(f"{what} is not symmetric: phi(-z) != phi(z) "
+                                f"at atom {locations[bad[0]]}")
 
 
 @dataclass(frozen=True)
@@ -308,9 +314,7 @@ class JumpModulator:
         vals = self.values_at(pts)
         if not np.all(np.abs(vals) <= 1 + 1e-12):
             raise InvalidInputError("|phi| must not exceed 1 on the atoms")
-        i, j = np.nonzero(_close(-pts, pts))
-        if np.any(np.abs(vals[i] - vals[j]) > 1e-12):
-            raise InvalidInputError("modulator is not symmetric: phi(-z) != phi(z)")
+        _check_even_phi(pts, vals, "modulator")
         return vals
 
 

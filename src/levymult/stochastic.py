@@ -28,6 +28,7 @@ from ._accel import rng as _rng
 from .exceptions import InvalidInputError
 from .grid import PStar
 from .lattice import PeriodicLattice
+from .measures import _check_even_phi, _check_symmetric_atoms
 from .symbols import _ratio
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "subordination_check",
     "levy_system_check",
     "LEVY_FUNCTIONALS",
+    "check_projection_inputs",
     "projection_identity_check",
     "l1_mass_check",
 ]
@@ -508,7 +510,7 @@ class ProjectionResult:
     stderr_norm: float
     spec_norm: float
     grouped_curve: list  # (n, mean l2 error over disjoint n-path groups)
-    pairs: int  # the mirrored pairs the mean and stderr are taken over
+    pairs: int  # the base paths, each a pair with its mirror
 
     @property
     def passed(self) -> bool:
@@ -525,22 +527,48 @@ def finite_time_lattice_symbol(lat: PeriodicLattice, s: float) -> np.ndarray:
 _MAX_RATE_WINDOW = 50.0  # guard on |s| * rate, the mean jumps per path
 
 
-def _mirrored(lat: PeriodicLattice, counts, offsets, times, aidx):
-    """The ensemble followed by its mirror: the same jump times, every atom
-    a replaced by ``lat.mirror[a]``, whose step is -step(a)."""
-    return (np.concatenate([counts, counts]),
-            np.concatenate([offsets, offsets[-1] + offsets[1:]]),
-            np.concatenate([times, times]),
-            np.concatenate([aidx, lat.mirror[aidx]]))
+def check_projection_inputs(lat: PeriodicLattice, s: float, n_paths: int,
+                            n_curve=None):
+    """The usage rules of ``projection_identity_check``: s < 0, the window
+    guard on |s| * rate, an even ``n_paths`` of at least 4, even curve sizes
+    within the ensemble, a symmetric measure nu(A) = nu(-A) on the lattice
+    steps and an even phi(-z) = phi(z).  Raises InvalidInputError."""
+    if not s < 0:
+        raise InvalidInputError("s must be negative (window (s, 0])")
+    if abs(s) * lat.total_rate > _MAX_RATE_WINDOW:
+        raise InvalidInputError(
+            f"window depth |s| * rate = {abs(s) * lat.total_rate:.3g} exceeds "
+            f"the variance guard {_MAX_RATE_WINDOW}")
+    if n_paths % 2 or n_paths < 4:
+        raise InvalidInputError(
+            f"the projection check pairs paths: n_paths must be even and at "
+            f"least 4, got {n_paths}")
+    for n in n_curve or ():
+        if n % 2 or not 2 <= n <= n_paths:
+            raise InvalidInputError(
+                f"curve size {n} must be even and within the ensemble")
+    what = "the projection check's lattice"
+    _check_symmetric_atoms(lat.atom_steps, lat.weights, what)
+    _check_even_phi(lat.atom_steps, lat.phi, what)
 
 
-def _pair_means(rows):
-    """The means of rows i and i + n/2, formed in place in the first half,
-    which is returned: no second (n, P) array exists."""
-    half = rows.shape[0] // 2
-    rows[:half] += rows[half:]
-    rows[:half] *= 0.5
-    return rows[:half]
+def _reflected(block):
+    """A copy of each row (axis 0) read at -k: flipped along the mode axes,
+    then rolled by one, so that mode 0 stays in place."""
+    axes = tuple(range(1, block.ndim))
+    return np.roll(np.flip(block, axes), 1, axes)
+
+
+def _pair_means(rows, sizes, fhat):
+    """Turn the base rows R into the pair means fhat(k) (R(k) + R(-k)) / 2,
+    R(-k) the mirror's row, in place ``core.BLOCK // P`` rows at a time: no
+    second (n, P) array exists."""
+    fhat = 0.5 * fhat.reshape(sizes)
+    width = max(1, core.BLOCK // rows.shape[1])
+    for r0 in range(0, rows.shape[0], width):
+        block = rows[r0:r0 + width].reshape(-1, *sizes)
+        block += _reflected(block)
+        block *= fhat
 
 
 def projection_identity_check(lat: PeriodicLattice, f, s: float,
@@ -553,42 +581,26 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     Long windows blow up the per-path jump count and hence the Monte Carlo
     variance, so |s| * rate is guarded.
 
-    The measure is symmetric, so a path and its mirror (every jump z
-    replaced by -z, the same jump times) are equally likely.  Base path i is
-    path i of the ``n_paths // 2``-path ensemble at ``seed``; it and its
-    mirror go through the kernel together, and the mean and its stderr are
-    taken over the ``n_paths // 2`` pair means.  ``n_paths`` must be even
-    and at least 4, every atom needs a mirror of equal weight, and each
-    ``n_curve`` size counts paths, so it is even: its groups are n/2
-    consecutive pair means.
+    The measure is symmetric and phi even, so a path and its mirror (every
+    jump z replaced by -z, the same jump times) are equally likely, and the
+    mirror's Fourier row is the path's read at -k.  Base path i is path i of
+    the ``n_paths // 2``-path ensemble at ``seed``; only the base paths go
+    through the kernel, and the mean and its stderr are taken over the
+    ``n_paths // 2`` pair means.  ``n_paths`` and each ``n_curve`` size
+    count paths, mirrors included (see ``check_projection_inputs``): an
+    ``n_curve`` group is n/2 consecutive pair means.
     """
-    if not s < 0:
-        raise InvalidInputError("s must be negative (window (s, 0])")
-    if abs(s) * lat.total_rate > _MAX_RATE_WINDOW:
-        raise InvalidInputError(
-            f"window depth |s| * rate = {abs(s) * lat.total_rate:.3g} exceeds "
-            f"the variance guard {_MAX_RATE_WINDOW}")
-    if n_paths % 2 or n_paths < 4:
-        raise InvalidInputError(
-            f"the projection check pairs paths: n_paths must be even and at "
-            f"least 4, got {n_paths}")
-    if np.any(lat.mirror < 0):
-        a = int(np.argmax(lat.mirror < 0))
-        raise InvalidInputError(
-            f"the projection check needs a symmetric lattice: atom {a} (step "
-            f"{lat.atom_steps[a].tolist()}, weight {lat.weights[a]}) has no "
-            f"mirror of equal weight")
+    check_projection_inputs(lat, s, n_paths, n_curve)
     f = _boundary(lat, f)
     u = 0.0
     half = n_paths // 2
-    counts, offsets, times, aidx = _mirrored(
-        lat, *sample_ensemble(lat, (s, u), half, seed))
+    counts, offsets, times, aidx = sample_ensemble(lat, (s, u), half, seed)
     fhat = lat.fft(f)
-    rows = core.projection_ensemble(
-        np.asarray(lat.sizes, dtype=np.int64), lat.psi, fhat, lat.sphi,
+    pairs = core.projection_ensemble(
+        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.sphi,
         lat.phase, lat.atom_steps, lat.phi, float(s), float(u),
         counts, offsets, times, aidx)
-    pairs = _pair_means(rows)
+    _pair_means(pairs, lat.sizes, fhat)
     h_spec = lat.ifft(finite_time_lattice_symbol(lat, s) * fhat)
     mean_rows, var_mean = _mean_var(pairs)
     h_mc = lat.ifft(mean_rows)
@@ -596,9 +608,6 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     stderr_norm = float(np.sqrt(var_mean.sum() / lat.n_points))
     grouped = []
     for n in n_curve or ():
-        if n % 2 or not 2 <= n <= n_paths:
-            raise InvalidInputError(
-                f"curve size {n} must be even and within the ensemble")
         # rms of the error over disjoint groups of n/2 pair means: its
         # square has expectation trace(cov)/(n/2) exactly, cov that of a
         # pair mean, so the n^{-1/2} scale is pinned far more tightly than

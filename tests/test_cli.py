@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import levymult as lm
+from levymult import cli
 from levymult import stochastic as st
 from levymult._accel import core
 from levymult.cli import main
@@ -408,6 +409,80 @@ def test_verify_projection_path_count_exits_2(tmp_path, capsys, n_paths):
                  "verify"]) == 2
     assert "even and at least 4" in capsys.readouterr().err
     assert not (tmp_path / "o" / "verify.json").exists()
+
+
+WALK_DOC = {"name": "deep_walk",
+            "measure": {"kind": "discrete",
+                        "atoms": [{"z": [1.0], "w": 1.0},
+                                  {"z": [-1.0], "w": 1.0}]},
+            "modulator": {"kind": "constant", "value": 1.0},
+            "sizes": [16], "f": [1.0] * 16, "x0": 3, "window": [0.0, 30.0]}
+
+
+@pytest.mark.parametrize("scenarios, n_paths", [
+    (["walk_phi1"], 401),
+    # the second scenario's depth |s| * rate = 30 * 2 fails the guard
+    (["walk_phi1", WALK_DOC], 40),
+])
+def test_verify_projection_usage_error_runs_no_ensemble(tmp_path, capsys,
+                                                        monkeypatch,
+                                                        scenarios, n_paths):
+    evolved = []
+    monkeypatch.setattr(cli, "evolve_ensemble",
+                        lambda *args: evolved.append(args))
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": scenarios, "n_paths": n_paths, "seed": 7})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert evolved == []
+    assert not (tmp_path / "o" / "verify.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_verify_seed_outside_u64_exits_2(tmp_path, capsys, seed):
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1"], "n_paths": 8, "seed": seed})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) == 2
+    assert "is outside [0, 2^64 - 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify.json").exists()
+
+
+def test_verify_seed_offsets_wrap_modulo_2_64(tmp_path):
+    # seed + 3 is 2^64 - 1; seed + 4 and seed + 5 wrap to 0 and 1
+    seed, n = (1 << 64) - 4, 40
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1"], "n_paths": n, "seed": seed})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "verify"]) in (0, 1)
+    rep = json.loads((tmp_path / "o" / "verify.json").read_text())
+    entry = rep["scenarios"]["walk_phi1"]
+    scn = scenario_by_name("walk_phi1")
+    lat, window = scn.lattice, scn.window
+    levy = st.levy_system_check(lat, window, n, (1 << 64) - 1)
+    assert [r["lhs"] for r in entry["levy_system"]] == [r.lhs for r in levy]
+    assert entry["l1_mass"]["mc"] == st.l1_mass_check(lat, scn.f, window, n,
+                                                      0).mc
+    proj = st.projection_identity_check(lat, scn.f, window[0] - window[1], n,
+                                        1)
+    assert entry["projection"]["l2_error"] == proj.l2_error
+    assert rep["seed"] == seed
+
+
+@pytest.mark.parametrize("corpus, flags", [
+    ({"seed": -1}, []),
+    ({"seed": 1 << 64}, []),
+    ({}, ["--seed", "-3"]),
+])
+def test_normratio_seed_outside_u64_exits_2(tmp_path, capsys, corpus, flags):
+    cfg = write_json(tmp_path / "c.json", {
+        "symbol": {"kind": "riesz2", "j": 1, "d": 2},
+        "corpus": {"d": 2, "n": 16, "count": 2, **corpus}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *flags,
+                 "normratio"]) == 2
+    assert "is outside [0, 2^64 - 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "normratio.csv").exists()
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from scipy import stats
 
 import levymult as lm
@@ -337,9 +339,9 @@ def test_projection_rows_match_oracle():
         n = 4
         counts, offsets, times, aidx = st.sample_ensemble(lat, window, n,
                                                           seed=34)
-        rows = core.projection_ensemble(
-            np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
-            lat.sphi, lat.phase, lat.atom_steps, lat.phi, *window,
+        rows = lat.fft(scn.f) * core.projection_ensemble(
+            np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.sphi,
+            lat.phase, lat.atom_steps, lat.phi, *window,
             counts, offsets, times, aidx)
         for m in range(n):
             path = st.sample_path(lat, window, seed=34, path_index=m)
@@ -373,10 +375,9 @@ def projection_kernel_gap(scn, n=2, seed=34):
     lat = scn.lattice
     window = (scn.window[0] - scn.window[1], 0.0)
     counts, offsets, times, aidx = st.sample_ensemble(lat, window, n, seed)
-    rows = core.projection_ensemble(
-        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
-        lat.sphi, lat.phase, lat.atom_steps, lat.phi, *window,
-        counts, offsets, times, aidx)
+    rows = lat.fft(scn.f) * core.projection_ensemble(
+        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.sphi, lat.phase,
+        lat.atom_steps, lat.phi, *window, counts, offsets, times, aidx)
     gaps = []
     for m in range(n):
         path = st.sample_path(lat, window, seed=seed, path_index=m)
@@ -412,11 +413,13 @@ def scale_compensator(monkeypatch):
 
 
 def conjugate_phi(monkeypatch):
-    # phi is argument 6 of both kernels; skew_6x10 has phi = 0.5i on (0, +-1)
-    for name in ("evolve_ensemble", "projection_ensemble"):
+    # phi is argument 6 of the evolve kernel and 5 of the projection kernel;
+    # skew_6x10 has phi = 0.5i on (0, +-1)
+    for name, i in (("evolve_ensemble", 6), ("projection_ensemble", 5)):
         kernel = getattr(core, name)
-        monkeypatch.setattr(core, name, lambda *args, kernel=kernel: kernel(
-            *args[:6], np.conj(args[6]), *args[7:]))
+        monkeypatch.setattr(core, name,
+                            lambda *args, kernel=kernel, i=i: kernel(
+                                *args[:i], np.conj(args[i]), *args[i + 1:]))
 
 
 def walk_one_step_ahead(monkeypatch):
@@ -810,10 +813,9 @@ def test_space_integrated_moment_bound():
     counts, offsets, times, aidx = st.sample_ensemble(lat, (-0.8, 0.0), n,
                                                       seed=81)
     rows = core.projection_ensemble(
-        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(f), lat.sphi,
-        lat.phase, lat.atom_steps, lat.phi, -0.8, 0.0,
-        counts, offsets, times, aidx)
-    phys = np.fft.ifft(rows, axis=1)
+        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.sphi, lat.phase,
+        lat.atom_steps, lat.phi, -0.8, 0.0, counts, offsets, times, aidx)
+    phys = np.fft.ifft(lat.fft(f) * rows, axis=1)
     for p in (1.5, 2.0, 3.0):
         per_path = (np.abs(phys) ** p).sum(axis=1) * lat.h
         lhs = per_path.mean()
@@ -834,15 +836,90 @@ def test_projection_window_variance_guard():
         st.projection_identity_check(lat, np.zeros(32), -1e4, 100, seed=1)
 
 
-def test_mirror_map_pairs_opposite_steps_of_equal_weight():
-    assert rich_lattice().mirror.tolist() == [1, 0, 3, 2]
-    plane = sc.scenario_by_name("plane_axis_phi").lattice
-    assert plane.mirror.tolist() == [1, 0, 3, 2]
-    # atom 0 (+1, weight 2) has no mirror; atom 1 (-1, weight 1) neither
-    assert asymmetric_walk().mirror.tolist() == [-1, -1]
+def kernel_rows(lat, s, counts, offsets, times, aidx):
+    """The projection kernel's rows R on the window (s, 0]."""
+    return core.projection_ensemble(
+        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.sphi, lat.phase,
+        lat.atom_steps, lat.phi, s, 0.0, counts, offsets, times, aidx)
 
 
-def test_projection_kernel_sees_each_base_path_then_its_mirror(monkeypatch):
+def mirrored(lat, counts, offsets, times, aidx):
+    """The mirror of an ensemble: the same jump times, every atom a replaced
+    by the first atom whose step is -step(a)."""
+    match = np.all(lat.atom_steps[None, :] == -lat.atom_steps[:, None],
+                   axis=-1)
+    assert match.any(axis=1).all()
+    return counts, offsets, times, match.argmax(axis=1)[aidx]
+
+
+def reflection_gap(lat, s=-0.8, n=8, seed=61):
+    """Largest gap, relative to the largest oracle value, of the check's pair
+    means from fhat (R + R') / 2, R' the kernel rows of the mirror ensemble
+    built explicitly, for a boundary function with no zero in its spectrum."""
+    ens = st.sample_ensemble(lat, (s, 0.0), n, seed)
+    f = np.random.default_rng(seed).normal(size=(2, lat.n_points))
+    fhat = lat.fft(f[0] + 1j * f[1])
+    rows = kernel_rows(lat, s, *ens)
+    oracle = 0.5 * fhat * (rows + kernel_rows(lat, s, *mirrored(lat, *ens)))
+    st._pair_means(rows, lat.sizes, fhat)
+    gap = np.abs(rows - oracle).max()
+    scale = np.abs(oracle).max()  # 0 when every phi is 0
+    return gap / scale if scale else gap
+
+
+def reflection_lattices():
+    return [rich_lattice(), sc.scenario_by_name("plane_axis_phi").lattice,
+            skew_scenario().lattice]
+
+
+def test_reflected_rows_are_the_mirror_ensemble_rows():
+    for lat in reflection_lattices():
+        assert reflection_gap(lat) < 1e-12
+
+
+def drop_reflection(monkeypatch):
+    monkeypatch.setattr(st, "_reflected", lambda block: block.copy())
+
+
+def flip_without_roll(monkeypatch):
+    monkeypatch.setattr(st, "_reflected", lambda block: np.flip(
+        block, tuple(range(1, block.ndim))).copy())
+
+
+@pytest.mark.parametrize("mutate", [drop_reflection, flip_without_roll])
+def test_reflection_defect_breaks_the_mirror_oracle(monkeypatch, mutate):
+    mutate(monkeypatch)
+    for lat in reflection_lattices():
+        assert reflection_gap(lat) > 1e-6
+    assert min(projection_stderr_gap()) > 1e-6
+
+
+@st_.composite
+def symmetric_lattices(draw):
+    """A lattice of d in {1, 2} with every atom's mirror at the same weight
+    and phi: distinct nonzero steps up to sign, each listed with -step."""
+    d = draw(st_.sampled_from([1, 2]))
+    sizes = draw(st_.lists(st_.integers(2, 9), min_size=d, max_size=d))
+    steps = draw(st_.lists(
+        st_.lists(st_.integers(-3, 3), min_size=d, max_size=d)
+        .filter(any).map(lambda z: tuple(max(z, [-c for c in z]))),
+        min_size=1, max_size=3, unique=True))
+    weights = draw(st_.lists(st_.floats(0.1, 3.0), min_size=len(steps),
+                             max_size=len(steps)))
+    phi = draw(st_.lists(st_.complex_numbers(max_magnitude=1.0),
+                         min_size=len(steps), max_size=len(steps)))
+    return PeriodicLattice(sizes, 1.0, [z for step in steps
+                                        for z in (step, [-c for c in step])],
+                           np.repeat(weights, 2), np.repeat(phi, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lat=symmetric_lattices())
+def test_reflection_matches_the_mirror_ensemble_on_symmetric_lattices(lat):
+    assert reflection_gap(lat, s=-0.5, n=4) < 1e-12
+
+
+def test_projection_kernel_sees_only_the_base_paths(monkeypatch):
     lat, n, seed, s = rich_lattice(), 40, 58, -0.8
     seen = []
     projection = core.projection_ensemble
@@ -854,58 +931,72 @@ def test_projection_kernel_sees_each_base_path_then_its_mirror(monkeypatch):
     monkeypatch.setattr(core, "projection_ensemble", spy)
     st.projection_identity_check(lat, sc.bump_profile(32, 16.0, 2.0), s, n,
                                  seed)
-    (counts, offsets, times, aidx), = seen
-    base = st.sample_ensemble(lat, (s, 0.0), n // 2, seed)
-    h, jumps = n // 2, int(base[1][-1])
-    assert np.array_equal(counts, np.tile(base[0], 2))
-    assert np.array_equal(offsets[:h + 1], base[1])
-    assert np.array_equal(offsets[h:] - jumps, base[1])
-    assert np.array_equal(times, np.tile(base[2], 2))
-    assert np.array_equal(aidx[:jumps], base[3])
-    assert np.array_equal(aidx[jumps:], lat.mirror[base[3]])
-    assert np.array_equal(lat.atom_steps[aidx[jumps:]],
-                          -lat.atom_steps[base[3]])
+    (ensemble,) = seen
+    for got, want in zip(ensemble,
+                         st.sample_ensemble(lat, (s, 0.0), n // 2, seed)):
+        assert np.array_equal(got, want)
 
 
 def projection_stderr_gap(n=400, seed=57, s=-0.8):
-    """Relative gap of the check's stderr_norm from one recomputed over the
-    pair means of kernel rows for the base paths and their mirrors."""
+    """The gaps of the check's h_mc and, relative, of its stderr_norm from
+    those recomputed over the pair means of kernel rows for the base paths
+    and their mirrors, the mirror ensemble built explicitly."""
     lat = walk_lattice()
     f = sc.bump_profile(32, 16.0, 2.0)
     pr = st.projection_identity_check(lat, f, s, n, seed)
-    counts, offsets, times, aidx = st.sample_ensemble(lat, (s, 0.0), n // 2,
-                                                      seed)
-
-    def rows(atoms):
-        return core.projection_ensemble(
-            np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(f),
-            lat.sphi, lat.phase, lat.atom_steps, lat.phi, s, 0.0,
-            counts, offsets, times, atoms)
-
-    pair = 0.5 * (rows(aidx) + rows(1 - aidx))  # the walk's atoms are +1, -1
+    ens = st.sample_ensemble(lat, (s, 0.0), n // 2, seed)
+    pair = 0.5 * lat.fft(f) * (kernel_rows(lat, s, *ens)
+                               + kernel_rows(lat, s, *mirrored(lat, *ens)))
     var = pair.real.var(axis=0, ddof=1) + pair.imag.var(axis=0, ddof=1)
     oracle = np.sqrt(var.sum() / (n // 2) / lat.n_points)
-    assert np.abs(pr.h_mc - lat.ifft(pair.mean(axis=0))).max() < 1e-12
-    return abs(pr.stderr_norm - oracle) / oracle
+    return (np.abs(pr.h_mc - lat.ifft(pair.mean(axis=0))).max(),
+            abs(pr.stderr_norm - oracle) / oracle)
 
 
 def test_projection_stderr_is_over_pair_means():
-    assert projection_stderr_gap() < 1e-12
+    assert max(projection_stderr_gap()) < 1e-12
 
 
 def test_projection_stderr_oracle_catches_a_per_path_stderr(monkeypatch):
-    # the stderr over all n_paths rows, unpaired, is not that of the pairs
-    monkeypatch.setattr(st, "_pair_means", lambda rows: rows)
-    assert projection_stderr_gap() > 0.1
+    # the stderr over the base paths alone, unpaired, is not that of the
+    # pairs
+    def unpaired(rows, sizes, fhat):
+        rows *= fhat
+
+    monkeypatch.setattr(st, "_pair_means", unpaired)
+    assert projection_stderr_gap()[1] > 0.1
 
 
 def test_projection_rejects_a_lattice_without_mirrors():
     # on this drifting walk the check failed at ~144 sigma on correct code:
     # the lattice symbol and the real psi assume a symmetric measure
-    with pytest.raises(InvalidInputError, match="atom 0 .* no mirror"):
+    with pytest.raises(InvalidInputError,
+                       match=r"not symmetric: no mirror for atom \[1\]"):
         st.projection_identity_check(asymmetric_walk(),
                                      sc.bump_profile(8, 4.0, 2.0), -0.8,
                                      2000, seed=1)
+
+
+def test_projection_rejects_an_odd_phi():
+    # the weights are symmetric, but the mirror of a path would not have
+    # the path's law
+    lat = PeriodicLattice((8,), 1.0, np.array([[1], [-1]]),
+                          np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+    with pytest.raises(InvalidInputError,
+                       match=r"phi\(-z\) != phi\(z\) at atom \[1\]"):
+        st.projection_identity_check(lat, sc.bump_profile(8, 4.0, 2.0),
+                                     -0.8, 2000, seed=1)
+
+
+def test_projection_accepts_repeated_atoms():
+    # {+1: 2, -1: 1, -1: 1} is symmetric as a measure
+    lat = PeriodicLattice((32,), 1.0, np.array([[1], [-1], [-1]]),
+                          np.array([2.0, 1.0, 1.0]),
+                          np.array([0.5, 0.5, 0.5]))
+    pr = st.projection_identity_check(lat, sc.bump_profile(32, 16.0, 2.0),
+                                      -0.8, 4000, seed=59)
+    assert pr.passed, (pr.l2_error, pr.stderr_norm)
+    assert reflection_gap(lat) < 1e-12
 
 
 @pytest.mark.parametrize("n_paths", [0, 2, 3, 401])
