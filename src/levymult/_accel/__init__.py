@@ -1,9 +1,10 @@
 """The Monte Carlo kernels and their random streams.
 
 :mod:`.core` holds the ensemble kernels (plain numpy: one vectorised walk
-gives every path's positions, the evolve and projection sums run over each
-path's time-ordered events in blocks of whole paths, and the Lévy sums over
-all jumps at once); :mod:`.rng` holds the counter-based per-path random
+gives every path's positions, the evolve kernel reads its semigroup values
+off Chebyshev-in-time grid tables in blocks of events, the projection sums
+run over each path's time-ordered events in blocks of whole paths, and the
+Lévy sums over all jumps at once); :mod:`.rng` holds the counter-based per-path random
 streams.  Ensemble statistics are reduced outside the kernels in a fixed
 order, so every run of a config and seed gives the same output.
 """

@@ -1,36 +1,48 @@
 """Ensemble kernels for the jump-martingale Monte Carlo.
 
 The kernels read the lattice positions of all paths from one vectorised
-walk.  The evolve and projection kernels merge each path's jumps,
-checkpoints and end time u into one time-ordered event list, and evaluate
-blocks of whole paths at once, with one decay e^{(u-t) psi} per event time t.
+walk, and merge each path's jumps, checkpoints and end time u into one
+time-ordered event list.  Parabolic extensions are O(P) mode sums,
 
-Parabolic extensions are O(P) mode sums,
+    P_{t,u} g (x)  =  (1/P) sum_k ghat_k e^{(u-t) psi_k} e^{2 pi i k.x/n}.
 
-    P_{t,u} f (x)  =  (1/P) sum_k fhat_k e^{(u-t) psi_k} e^{2 pi i k.x/n},
+The evolve kernel reads them off grid tables instead.  With tau = u - t,
+e^{tau psi} is interpolated in tau at K Chebyshev nodes tau_c of the first
+kind (the Chebyshev propagator of Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+1984), so P_{t,u} g (x) = sum_c B_c(tau) ifftn(ghat e^{tau_c psi})[x] with
+B the barycentric weights: K values gathered at the event's lattice point
+and no exponential per event.  K follows from the Chebyshev coefficients of
+e^{tau psi}, at most 2 (b/2)^K / K! past degree K - 1 for b = max|psi| L/2
+on a window of length L; a long window is split into equal pieces of at
+most ``MAX_NODES`` nodes, and one piece's tables are alive at a time.
 
-and on the product torus the DFT column factors by axis,
-e^{2 pi i k.x/n} = prod_a e^{2 pi i k_a x_a/n_a}.  The factor of axis a is
-an (E, n_a) array read from the N = lcm(n) roots of unity in ``phase``.
-The evolve kernel reshapes its weights to (E, n_1, ..., n_d) and contracts
-one axis at a time, so it never holds an (E, P) column.  The projection
-kernel needs all P amplitudes: it forms the column before each event as the
-outer product of the factors, and the column after a jump as that column
-times omega, the column of the atom's step.
+The projection kernel needs all P amplitudes, with one decay e^{(u-t) psi}
+per event.  On the product torus the DFT column factors by axis,
+e^{2 pi i k.x/n} = prod_a e^{2 pi i k_a x_a/n_a}; the factor of axis a is
+an (E, n_a) array read from the N = lcm(n) roots of unity in ``phase``.  The
+kernel forms the column before each event as the outer product of the
+factors, and the column after a jump as that column times omega, the column
+of the atom's step.
 
 Compensator time integrals between consecutive events t1 < t2 are exact per
-mode and reuse both events' decays,
+mode,
 
     int_{t1}^{t2} e^{(u-v) psi} dv = (e^{(u-t1) psi} - e^{(u-t2) psi}) / psi,
 
-so the only stochastic error in any check is the Monte Carlo one.
+so with the tables H_c = ifftn(ghat sphi/psi e^{tau_c psi}) the evolve
+kernel's compensator is a difference of two interpolated values.  When
+phi == 1, H = G - ghat_0/P node by node, so F_t + G_s - G_t still telescopes
+to roundoff.  The only stochastic error in any check is the Monte Carlo one.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 BLOCK = 1 << 16  # events x modes per block: bounds memory whatever n_paths is
+MAX_NODES = 32  # Chebyshev nodes per piece of the evolve kernel's tau-window
+_TAIL = 1e-17  # bound on the first Chebyshev coefficient left out
 
 
 def walk(sizes, atom_steps, start, offsets, aidx):
@@ -41,6 +53,45 @@ def walk(sizes, atom_steps, start, offsets, aidx):
     reached = np.cumsum(steps, axis=0)
     first = np.repeat(offsets[:-1], np.diff(offsets))
     return (start + reached - (reached - steps)[first]) % sizes
+
+
+def chebyshev(points, a, n_nodes):
+    """``n_nodes`` Chebyshev nodes of the first kind on [0, a], and the
+    barycentric matrix B taking values at the nodes to the interpolant at
+    ``points``; a point on a node reads that node's value."""
+    k = np.arange(n_nodes)
+    theta = (2 * k + 1) * (math.pi / (2 * n_nodes))
+    nodes = 0.5 * a * (1.0 + np.cos(theta))
+    diff = points[:, None] - nodes
+    hit = diff == 0.0
+    B = (-1.0) ** k * np.sin(theta) / np.where(hit, 1.0, diff)
+    B /= B.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    B[on_node] = hit[on_node]
+    return nodes, B
+
+
+def _node_count(b):
+    """The fewest nodes K with 2 (b/2)^K / K! < 1e-17.  On a window
+    [lo, lo + L], e^{tau psi} = e^{(lo + L/2) psi} e^{x L psi/2} for x in
+    [-1, 1]; its Chebyshev coefficient of degree K is
+    2 e^{(lo + L/2) psi} I_K(L psi/2), at most 2 (b/2)^K / K! in modulus
+    when b >= L |psi|/2, since psi <= 0 and I_K(z) <= (z/2)^K / K! e^z."""
+    k, term = 1, b
+    while term >= _TAIL:
+        k += 1
+        term *= b / (2 * k)
+    return k
+
+
+def evolve_pieces(psi, span):
+    """(pieces, K): the fewest equal pieces of the tau-window [0, span]
+    whose node count K is at most ``MAX_NODES``, and that count."""
+    psi_max = float(np.abs(psi).max())
+    pieces = 1
+    while (k := _node_count(psi_max * span / (2 * pieces))) > MAX_NODES:
+        pieces += 1
+    return pieces, k
 
 
 def _factors(sizes, phase, coords):
@@ -57,18 +108,6 @@ def _outer(factors):
     for f in factors[1:]:
         col = (col[:, :, None] * f[:, None, :]).reshape(col.shape[0], -1)
     return col
-
-
-def _contract(w, factors):
-    """sum_k w[e, r, k] prod_a factors[a][e, k_a, c] -> (E, R, C) for the
-    weight rows w (E, R, P), one axis at a time: the last by a batched
-    matmul, the others by a dot each, so no (E, P) column is formed."""
-    e, n_rows = w.shape[:2]
-    out = w.reshape(e, -1, factors[-1].shape[1]) @ factors[-1]
-    for f in factors[-2::-1]:
-        out = np.einsum("ejkc,ekc->ejc",
-                        out.reshape(e, -1, f.shape[1], f.shape[2]), f)
-    return out.reshape(e, n_rows, -1)
 
 
 class _Events(NamedTuple):
@@ -144,6 +183,25 @@ def _rate(psi, sphi):
     return sphi / np.where(psi == 0.0, 1.0, psi)
 
 
+def _tables(sizes, psi, rows, nodes, out):
+    """The grid tables ifftn(rows[r] e^{tau_c psi}) at the nodes tau_c, into
+    ``out`` (P, R, K), one node at a time."""
+    for c, tau in enumerate(nodes):
+        decay = np.exp(tau * psi)
+        for r, row in enumerate(rows):
+            out[:, r, c] = np.fft.ifftn((row * decay).reshape(sizes)).ravel()
+    return out
+
+
+def _previous(tau, off, span):
+    """Each event's tau_prev: that of its path's previous event, ``span`` =
+    u - s for the path's first."""
+    prev = np.empty_like(tau)
+    prev[1:] = tau[:-1]
+    prev[off[:-1]] = span
+    return prev
+
+
 def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
                     x0, s, u, counts, offsets, times, aidx, checkpoints):
     """The pair (F, G) along every path from x0.
@@ -152,31 +210,52 @@ def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
     qv_f, qv_g, the number of jumps with |dF| > |dG| and lemma_residual =
     max_t |F_t + pf0 - G_t| over jump times and u (zero up to roundoff when
     phi == 1); and pf0 = G_s = P_{s,u}f(x0), shared by all paths.
+
+    G and the compensator's H are read off node tables (see the module
+    docstring): with B the barycentric weights at tau = u - t,
+    g = B(tau_e) . G[x] before and after event e, and the compensator since
+    the path's previous event is (B(tau_prev) - B(tau_e)) . H[x_before].
     """
     n_modes = psi.shape[0]
     n_cp = checkpoints.shape[0]
-    start = np.array(np.unravel_index(x0, tuple(sizes)))
-    ev = _events(sizes, atom_steps, start, u, offsets, times, aidx,
-                 checkpoints)
-    decay_s = np.exp((u - s) * psi)
-    pf0 = (fhat * decay_s * _outer(_factors(sizes, phase, start[None]))[0]
-           ).sum() / n_modes
-    fhat_rate = fhat * _rate(psi, sphi)
+    shape = tuple(sizes)
+    ev = _events(sizes, atom_steps, np.array(np.unravel_index(x0, shape)), u,
+                 offsets, times, aidx, checkpoints)
+    span = u - s
+    pieces, k = evolve_pieces(psi, span)
+    step = span / pieces
+    tau = u - ev.t
+    tau_prev = _previous(tau, ev.off, span)
+    # an event's interval [tau, tau_prev] spans the pieces own .. top
+    own = np.minimum(tau // step, pieces - 1)
+    top = np.minimum(tau_prev // step, pieces - 1)
+    x_before = np.ravel_multi_index(ev.before.T, shape)
+    x_after = np.ravel_multi_index(ev.after.T, shape)
+    spectra = (fhat, fhat * _rate(psi, sphi))
+    nodes = chebyshev(np.empty(0), step, k)[0]
+    table = np.empty((n_modes, 2, k), np.complex128)
     g_before = np.empty(ev.t.shape[0], np.complex128)
     g_after = np.empty_like(g_before)
-    comp = np.empty_like(g_before)
-    for _, _, sl, dec, drop in _blocks(psi, u, decay_s, ev):
-        # both weight rows, fhat dec and fhat sphi panel, against the columns
-        # before and after the event in one small matmul per event (the panel
-        # row is used with the column before only); a separate matrix-vector
-        # product for the panel ran slower on two BLAS threads than on one
-        w = np.empty((dec.shape[0], 2, n_modes), np.complex128)
-        np.multiply(fhat, dec, out=w[:, 0])
-        np.multiply(fhat_rate, drop, out=w[:, 1])
-        g = _contract(w, [np.stack(pair, axis=-1) for pair in zip(
-            _factors(sizes, phase, ev.before[sl]),
-            _factors(sizes, phase, ev.after[sl]))]) / n_modes
-        g_before[sl], g_after[sl], comp[sl] = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0]
+    comp = np.zeros_like(g_before)
+    width = max(1, BLOCK // k)
+    # from the last piece to the first: an event's G values are written
+    # last in its own piece, and H is summed over the pieces its interval
+    # spans, with tau and tau_prev clipped to each
+    for j in range(pieces - 1, -1, -1):
+        lo = j * step
+        _tables(shape, psi, spectra, lo + nodes, table)
+        if j == pieces - 1:
+            pf0 = table[x0, 0] @ chebyshev(np.array([span - lo]), step, k)[1][0]
+        idx = np.flatnonzero((own <= j) & (j <= top))
+        for e0 in range(0, idx.shape[0], width):
+            e = idx[e0:e0 + width]
+            b = chebyshev(np.maximum(tau[e], lo) - lo, step, k)[1]
+            b_prev = chebyshev(np.minimum(tau_prev[e], lo + step) - lo,
+                               step, k)[1]
+            before = table[x_before[e]]
+            g_before[e] = np.einsum("ek,ek->e", before[:, 0], b)
+            g_after[e] = np.einsum("ek,ek->e", table[x_after[e], 0], b)
+            comp[e] += np.einsum("ek,ek->e", before[:, 1], b_prev - b)
     # dG, and so dF, is exactly 0 off the jumps
     dg = g_after - g_before
     df = np.append(atom_phi, 0.0)[ev.atom] * dg
@@ -192,7 +271,7 @@ def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
     f_ev = np.cumsum(rows, axis=1)[ev.path, local]
     end = ev.kind == n_cp + 1
     f_u = f_ev[end]
-    g_u = fvals[np.ravel_multi_index(ev.after[end].T, tuple(sizes))]
+    g_u = fvals[x_after[end]]
     cp = (ev.kind > 0) & ~end
     f_cp = np.zeros((n_paths, n_cp), np.complex128)
     g_cp = np.zeros_like(f_cp)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._accel.core import evolve_pieces
 from .corpus import CorpusConfig, build_corpus
 from .exceptions import InvalidInputError
 from .grid import read_grid, write_grid
@@ -160,7 +161,8 @@ def cmd_normratio(args) -> int:
                 fh.write(f"{sid},{r.p!r},{r.bound!r},{r.max_ratio!r},"
                          f"{r.argmax_id}\n")
                 any_violation |= r.violation
-    _write_meta(out, args, {"violation": any_violation,
+    _write_meta(out, args, {"seed": corpus_config.seed,
+                            "violation": any_violation,
                             "threads": sweeps.threads,
                             "seconds": seconds,
                             "half_spectrum_symbols": sweeps.half_spectrum_symbols})
@@ -224,11 +226,13 @@ def _timed(seconds, stage, fn, *args):
     return out
 
 
-def _table_bytes(lat):
-    """The lattice's phase, psi and sphi tables plus the projection kernel's
-    complex (A + 1) x P jump table."""
-    jump = (len(lat.weights) + 1) * lat.n_points * np.dtype(complex).itemsize
-    return lat.phase.nbytes + lat.psi.nbytes + lat.sphi.nbytes + jump
+def _table_bytes(lat, nodes):
+    """The lattice's phase, psi and sphi tables, the projection kernel's
+    complex (A + 1) x P jump table and the evolve kernel's two complex
+    P x ``nodes`` node tables of one piece."""
+    rows = len(lat.weights) + 1 + 2 * nodes
+    return (lat.phase.nbytes + lat.psi.nbytes + lat.sphi.nbytes
+            + rows * lat.n_points * np.dtype(complex).itemsize)
 
 
 def _row(row, *keys):
@@ -271,10 +275,13 @@ def cmd_verify(args) -> int:
         proj = _timed(seconds, "projection", projection_identity_check,
                       scn.lattice, scn.f, scn.window[0] - scn.window[1],
                       n_paths, (seed + 5) % _SEED_END)
+        pieces, nodes = evolve_pieces(scn.lattice.psi,
+                                      scn.window[1] - scn.window[0])
         stages[name] = {"seconds": seconds, "paths": n_paths,
                         "jumps": res.n_jumps, "modes": scn.lattice.n_points,
                         "projection_pairs": proj.pairs,
-                        "table_bytes": _table_bytes(scn.lattice)}
+                        "evolve_nodes": nodes, "evolve_pieces": pieces,
+                        "table_bytes": _table_bytes(scn.lattice, nodes)}
         entry = {
             "drift": [_row(r, "process", "t1", "t2", "drift", "stderr",
                            "sigmas") for r in drift],
@@ -296,7 +303,8 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     (out / "verify.json").write_text(
         json.dumps(report, indent=2, sort_keys=True, default=_json_default))
-    _write_meta(out, args, {"failed": failed, "scenarios": stages})
+    _write_meta(out, args, {"seed": seed, "failed": failed,
+                            "scenarios": stages})
     print(f"wrote {out / 'verify.json'}"
           + ("  [3-SIGMA FAILURE]" if failed else "  [all checks passed]"))
     return VERIFY_ERROR if failed else 0

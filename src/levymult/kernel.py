@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from ._accel.core import chebyshev
 from .exceptions import ConvergenceError, InvalidInputError, SingularPointError
 from .grid import GridFunction
 from .measures import _int
@@ -54,8 +55,10 @@ _Q_SERIES = 0.5
 # 5e-13 at 1e-6; there atanh(q) is ln|x| - ln|y| from x^2 and y^2 instead
 _Q_AXIS = 1e-6
 
-# Chebyshev nodes per axis for the smooth image sums of kernel_weight_table;
-# 16 leaves ~6e-13 of max|W| on a (63, 65) table, 20 stays below 7e-14
+# Chebyshev nodes per axis for the smooth image sums of kernel_weight_table,
+# interpolated by the barycentric helper the evolve kernel's tau tables share
+# (``_accel.core.chebyshev``); 16 leaves ~6e-13 of max|W| on a (63, 65)
+# table, 20 stays below 7e-14
 _CHEB_NODES = 20
 
 
@@ -223,21 +226,6 @@ def _resolve_images(sizes, images):
     raise InvalidInputError(f"images must be a nonnegative integer, got {images!r}")
 
 
-def _chebyshev(points, a):
-    """Chebyshev nodes of the first kind on [0, a], and the barycentric
-    matrix B taking values at the nodes to the interpolant at ``points``."""
-    k = np.arange(_CHEB_NODES)
-    theta = (2 * k + 1) * (math.pi / (2 * _CHEB_NODES))
-    nodes = 0.5 * a * (1.0 + np.cos(theta))
-    diff = points[:, None] - nodes
-    hit = diff == 0.0
-    B = (-1.0) ** k * np.sin(theta) / np.where(hit, 1.0, diff)
-    B /= B.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    B[on_node] = hit[on_node]
-    return nodes, B
-
-
 def weight_table_meta(sizes, images=None) -> dict:
     """What ``kernel_weight_table`` resolves and spends on a grid of ``sizes``:
     images per side, Chebyshev nodes per axis, kernel evaluations and the
@@ -290,8 +278,8 @@ def kernel_weight_table(sizes, period, rho: float,
     off1 = np.fft.fftfreq(n1, d=1.0 / n1) * h1
     off2 = np.fft.fftfreq(n2, d=1.0 / n2) * h2
     x, y = np.abs(off1[: n1 // 2 + 1]), np.abs(off2[: n2 // 2 + 1])
-    cx, Bx = _chebyshev(x, L1 / 2)
-    cy, By = _chebyshev(y, L2 / 2)
+    cx, Bx = chebyshev(x, L1 / 2, _CHEB_NODES)
+    cy, By = chebyshev(y, L2 / 2, _CHEB_NODES)
     m = np.concatenate([np.arange(-images, 0), np.arange(1, images + 1)])
     # the nodes of every nonzero image, one row per image
     mx, my = cx + (m * L1)[:, None], cy + (m * L2)[:, None]

@@ -254,6 +254,26 @@ def evolve_ensemble(scn: Scenario, n_paths: int, seed: int) -> EnsembleResult:
                           *rows, complex(pf0))
 
 
+def _sample_var(part):
+    """The sample variance over axis 0 of a real array, by numpy's two-pass
+    formula.  Rows of modes take their squared deviations ``core.BLOCK // P``
+    rows at a time, added row after row as numpy adds them, so no second
+    (n, P) array exists and the bytes are numpy's."""
+    if part.ndim == 1:
+        return part.var(ddof=1)
+    n = part.shape[0]
+    centre = part.sum(axis=0, keepdims=True) / n
+    width = max(1, core.BLOCK // part.shape[1])
+    total = None
+    for r0 in range(0, n, width):
+        sq = np.subtract(part[r0:r0 + width], centre)
+        np.square(sq, out=sq)
+        if total is not None:
+            sq[0] += total
+        total = sq.sum(axis=0)
+    return total / (n - 1)
+
+
 def _mean_var(values):
     """The mean over paths (axis 0) and its variance, the sample variance
     over n (that of the real part plus that of the imaginary part)."""
@@ -261,9 +281,9 @@ def _mean_var(values):
     n = len(values)
     mean = values.mean(axis=0)
     if np.iscomplexobj(values):
-        var = values.real.var(axis=0, ddof=1) + values.imag.var(axis=0, ddof=1)
+        var = _sample_var(values.real) + _sample_var(values.imag)
     else:
-        var = values.var(axis=0, ddof=1)
+        var = _sample_var(values)
     return mean, var / n
 
 

@@ -186,6 +186,25 @@ def test_normratio_run_meta_records_stages(tmp_path):
     assert "seconds" not in csv and "half_spectrum" not in csv
 
 
+def test_normratio_run_meta_records_the_corpus_seed(tmp_path):
+    # no --seed flag: the corpus seed of the config is the one the run used
+    cfg = write_json(tmp_path / "c.json", {
+        "symbols": [{"kind": "riesz2", "j": 1, "d": 2}],
+        "corpus": {"n": 32, "count": 2, "seed": 9}, "p_list": [2.0]})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "normratio"]) == 0
+    assert json.loads((tmp_path / "o" / "run_meta.json").read_text())[
+        "seed"] == 9
+    # without a corpus seed the flag is the corpus seed
+    cfg = write_json(tmp_path / "d.json", {
+        "symbols": [{"kind": "riesz2", "j": 1, "d": 2}],
+        "corpus": {"n": 32, "count": 2}, "p_list": [2.0]})
+    assert main(["--config", cfg, "--out", str(tmp_path / "p"), "--seed",
+                 "13", "normratio"]) == 0
+    assert json.loads((tmp_path / "p" / "run_meta.json").read_text())[
+        "seed"] == 13
+
+
 def test_normratio_empty_corpus(tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "symbol": {"kind": "riesz2", "j": 1, "d": 2},
@@ -356,6 +375,18 @@ def test_kernel_pv_mode_writes_grid(tmp_path):
     assert meta["table_bytes"] == 64 * 64 * 8
 
 
+def test_verify_run_meta_records_the_config_seed(tmp_path):
+    # the config's seed wins over the --seed flag and its default
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1"], "n_paths": 40, "seed": 7})
+    for flags, out in (([], "o"), (["--seed", "5"], "p")):
+        main(["--config", cfg, "--out", str(tmp_path / out), *flags,
+              "verify"])
+        meta = json.loads((tmp_path / out / "run_meta.json").read_text())
+        report = json.loads((tmp_path / out / "verify.json").read_text())
+        assert meta["seed"] == report["seed"] == 7
+
+
 def test_verify_rerun_byte_identical(tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "scenarios": ["two_scale_half"], "n_paths": 1500, "seed": 99})
@@ -390,10 +421,18 @@ def test_verify_run_meta_records_stages(tmp_path):
         lat = scenario_by_name(name).lattice
         jump = core._jump_table(np.asarray(lat.sizes), lat.phase,
                                 lat.atom_steps, lat.phi)
+        # one piece of the evolve kernel's two complex P x K node tables
+        nodes = 2 * entry["evolve_nodes"] * lat.n_points * 16
         assert entry["table_bytes"] == (lat.phase.nbytes + lat.psi.nbytes
-                                        + lat.sphi.nbytes + jump.nbytes)
+                                        + lat.sphi.nbytes + jump.nbytes
+                                        + nodes)
+    # max|psi| T = 4 and 6.4: one piece of 20 and of 23 nodes
+    assert [(meta["scenarios"][name]["evolve_pieces"],
+             meta["scenarios"][name]["evolve_nodes"])
+            for name in ("walk_phi1", "plane_axis_phi")] == [(1, 20), (1, 23)]
     assert meta["scenarios"]["plane_axis_phi"]["table_bytes"] == \
-        16 * 16 + 256 * 8 + 256 * 16 + 5 * 256 * 16
+        16 * 16 + 256 * 8 + 256 * 16 + 5 * 256 * 16 + 2 * 23 * 256 * 16
+    assert meta["seed"] == 7
     report = (tmp_path / "o" / "verify.json").read_text()
     assert "seconds" not in report and "jumps" not in report
     assert "projection_pairs" not in report and "table_bytes" not in report

@@ -444,9 +444,9 @@ def test_weight_table_defect_breaks_the_oracle_comparison(monkeypatch,
         monkeypatch.setattr(kmod, "_axis_safe",
                             lambda v, cell: safe(v, 2.0 * cell))
     elif defect == "interval_0_L":
-        cheb = kmod._chebyshev
-        monkeypatch.setattr(kmod, "_chebyshev",
-                            lambda points, a: cheb(points, 2.0 * a))
+        cheb = kmod.chebyshev
+        monkeypatch.setattr(kmod, "chebyshev",
+                            lambda points, a, n: cheb(points, 2.0 * a, n))
     else:
         inner = kmod.kernel_closed_form
         drop = (_drop_off_axis_image if defect == "off_axis_image"
@@ -465,13 +465,14 @@ def test_weight_table_defect_breaks_the_oracle_comparison(monkeypatch,
 
 
 def test_chebyshev_interpolates_at_and_between_nodes():
-    nodes, B = kmod._chebyshev(np.array([0.0, 0.7, 1.5]), 1.5)
+    N = kmod._CHEB_NODES
+    nodes, B = kmod.chebyshev(np.array([0.0, 0.7, 1.5]), 1.5, N)
     assert np.all((nodes > 0) & (nodes < 1.5))
     # degree N - 1 is reproduced; a node reads its own value
-    poly = np.polynomial.Polynomial(np.linspace(1, 2, kmod._CHEB_NODES))
+    poly = np.polynomial.Polynomial(np.linspace(1, 2, N))
     assert np.allclose(B @ poly(nodes), poly([0.0, 0.7, 1.5]), rtol=1e-12)
-    at_nodes = kmod._chebyshev(nodes[[3, 0]], 1.5)[1]
-    assert np.array_equal(at_nodes, np.eye(kmod._CHEB_NODES)[[3, 0]])
+    at_nodes = kmod.chebyshev(nodes[[3, 0]], 1.5, N)[1]
+    assert np.array_equal(at_nodes, np.eye(N)[[3, 0]])
 
 
 def test_weight_table_peak_memory():

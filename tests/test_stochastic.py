@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -330,6 +331,138 @@ def test_checkpoint_values_are_parabolic_extensions():
                                                          abs=1e-12)
 
 
+def long_window_scenario():
+    """|psi| T = 150 on a 1-d lattice: its tau-window takes several pieces."""
+    lat = PeriodicLattice((32,), 1.0, np.array([[1], [-1], [3], [-3]]),
+                          np.array([1.0, 1.0, 0.5, 0.5]),
+                          np.array([1.0, 1.0, -0.5, -0.5], dtype=complex))
+    f = sc.bump_profile(32, 10.0, 2.0) + 0.2j * sc.bump_profile(32, 20.0, 5.0)
+    span = 150.0 / np.abs(lat.psi).max()
+    return st.Scenario("long_window", lat, f, 5, (0.0, span),
+                       checkpoints=(span / 3, span / 2))
+
+
+def assert_matches_oracle(scn, n, seed):
+    """Every output of the evolve kernel against the per-path oracle, the
+    checkpoints against P_{t,u} f and the oracle on (s, t], to 1e-12."""
+    lat = scn.lattice
+    s, u = scn.window
+    res = st.evolve_ensemble(scn, n, seed)
+    start = np.array(np.unravel_index(scn.x0, lat.sizes))
+    for idx in range(n):
+        path = st.sample_path(lat, scn.window, seed=seed, path_index=idx)
+        pair = st.evolve_martingales(lat, path, scn.x0, scn.f)
+        got = [res.f_u[idx], res.g_u[idx], res.qv_f[idx], res.qv_g[idx],
+               res.lemma_residual[idx]]
+        want = [pair.f_terminal, pair.g_terminal, pair.qv_f[-1],
+                pair.qv_g[-1], np.abs(pair.f_values + pair.p_su_f_x0
+                                      - pair.g_values).max()]
+        assert np.abs(np.subtract(got, want)).max() < 1e-12
+        assert res.violations[idx] == np.sum(
+            pair.qv_f_increments > pair.qv_g_increments)
+        for c, t in enumerate(scn.checkpoints):
+            jumped = np.searchsorted(path.times, t, side="right")
+            flat = np.ravel_multi_index(start + path.positions()[jumped],
+                                        lat.sizes, mode="wrap")
+            f_t = lat.parabolic(scn.f, u - t)
+            head = st.PoissonPath((s, t), path.times[:jumped],
+                                  path.atom_indices[:jumped],
+                                  path.jumps[:jumped], seed, idx)
+            f_cp = st.evolve_martingales(lat, head, scn.x0, f_t).f_terminal
+            assert abs(res.g_cp[idx, c] - f_t[flat]) < 1e-12
+            assert abs(res.f_cp[idx, c] - f_cp) < 1e-12
+
+
+def test_multi_piece_window_matches_oracle():
+    scn = long_window_scenario()
+    s, u = scn.window
+    pieces, nodes = core.evolve_pieces(scn.lattice.psi, u - s)
+    assert pieces == 11 and nodes <= core.MAX_NODES
+    assert_matches_oracle(scn, 8, seed=5)
+
+
+def test_checkpoint_on_a_node_matches_oracle():
+    # plane_axis_phi: max|psi| = 8 on the window (0, 0.8), so K = 23 is odd
+    # and the midpoint checkpoint's tau = 0.4 is the middle node exactly
+    scn = sc.scenario_by_name("plane_axis_phi")
+    s, u = scn.window
+    pieces, k = core.evolve_pieces(scn.lattice.psi, u - s)
+    nodes = core.chebyshev(np.empty(0), u - s, k)[0]
+    assert (pieces, k) == (1, 23) and u - scn.checkpoints[0] in nodes
+    res = st.evolve_ensemble(scn, 16, seed=33)
+    assert np.isfinite(res.f_cp).all() and np.isfinite(res.g_cp).all()
+    assert_matches_oracle(scn, 16, seed=33)
+
+
+def test_node_count_is_the_fewest_meeting_the_tail_bound():
+    def tail(b, k):
+        return 2 * (b / 2) ** k / math.factorial(k)
+
+    for b in (0.0, 0.5, 3.2, 7.0, 40.0):
+        k = core._node_count(b)
+        assert tail(b, k) < 1e-17 and (k == 1 or tail(b, k - 1) >= 1e-17)
+    # and K nodes interpolate e^{tau psi} to roundoff on the whole window
+    psi = -np.linspace(0.0, 8.0, 41)
+    k = core._node_count(8.0 * 0.8 / 2)
+    nodes, B = core.chebyshev(np.linspace(0.0, 0.8, 97), 0.8, k)
+    exact = np.exp(np.linspace(0.0, 0.8, 97)[:, None] * psi)
+    assert np.abs(B @ np.exp(nodes[:, None] * psi) - exact).max() < 1e-14
+    # the fewest equal pieces whose node count is at most MAX_NODES
+    for span in (0.8, 25.0, 200.0):
+        pieces, k = core.evolve_pieces(psi, span)
+        assert k == core._node_count(8.0 * span / (2 * pieces)) <= \
+            core.MAX_NODES
+        assert pieces == 1 or core._node_count(
+            8.0 * span / (2 * (pieces - 1))) > core.MAX_NODES
+
+
+def test_evolve_kernel_memory_is_per_path():
+    # the node tables and the event blocks do not grow with the ensemble:
+    # ten times the paths adds less than 320 bytes per added event, the
+    # event list, its values and the per-path rows (a block-free
+    # evaluation with K = 31 nodes adds ~2,000)
+    scn = long_window_scenario()
+    lat = scn.lattice
+    s, u = scn.window
+    peaks = []
+    for n in (1000, 10000):
+        data = st.sample_ensemble(lat, scn.window, n, 3)
+        tracemalloc.start()
+        try:
+            core.evolve_ensemble(
+                np.asarray(lat.sizes), lat.psi, lat.fft(scn.f), lat.sphi,
+                lat.phase, lat.atom_steps, lat.phi, scn.f, scn.x0, s, u,
+                *data, np.asarray(scn.checkpoints))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append((peak, int(data[0].sum()) + 3 * n))
+    (small, e_small), (big, e_big) = peaks
+    assert big - small < 320 * (e_big - e_small)
+
+
+def test_evolve_kernel_keeps_one_piece_of_tables():
+    # 64 x 64 at |psi| T = 150: eleven pieces of two 4 MB tables each
+    lat = PeriodicLattice((64, 64), 1.0,
+                          np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                          np.ones(4), np.array([1.0, 1.0, 0.0, 0.0]))
+    span = 150.0 / 8.0
+    pieces, k = core.evolve_pieces(lat.psi, span)
+    table = 2 * k * lat.n_points * 16
+    assert pieces == 11
+    f = np.cos(2 * np.pi * np.arange(lat.n_points) / 64).astype(complex)
+    data = st.sample_ensemble(lat, (0.0, span), 20, 3)
+    tracemalloc.start()
+    try:
+        core.evolve_ensemble(np.asarray(lat.sizes), lat.psi, lat.fft(f),
+                             lat.sphi, lat.phase, lat.atom_steps, lat.phi, f,
+                             7, 0.0, span, *data, np.array([span / 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table + (2 << 20)
+
+
 def test_projection_rows_match_oracle():
     # row m is the spectrum of H(w) = F_u(w - X_u), with F_u taken from the
     # oracle started at every base point
@@ -431,15 +564,61 @@ def walk_one_step_ahead(monkeypatch):
     monkeypatch.setattr(core, "walk", ahead)
 
 
+def transpose_table_axes(monkeypatch):
+    # each node's grid table read with the lattice axes swapped
+    tables = core._tables
+
+    def transposed(shape, psi, spectra, nodes, out):
+        tables(shape, psi, spectra, nodes, out)
+        out[:] = out.reshape(*shape, *out.shape[1:]).swapaxes(0, 1).reshape(
+            out.shape)
+        return out
+    monkeypatch.setattr(core, "_tables", transposed)
+
+
+def scale_h_table(monkeypatch):
+    tables = core._tables
+
+    def scaled(*args):
+        out = tables(*args)
+        out[:, 1] *= 1.01
+        return out
+    monkeypatch.setattr(core, "_tables", scaled)
+
+
+def reflect_tau(monkeypatch):
+    # tau = u - t read as T - tau = t - s
+    cheb = core.chebyshev
+    monkeypatch.setattr(core, "chebyshev",
+                        lambda points, a, n: cheb(a - points, a, n))
+
+
+def drop_odd_nodes(monkeypatch):
+    cheb = core.chebyshev
+
+    def every_other(points, a, n):
+        nodes, B = cheb(points, a, n)
+        B[:, 1::2] = 0.0
+        return nodes, B / B.sum(axis=1, keepdims=True)
+    monkeypatch.setattr(core, "chebyshev", every_other)
+
+
+def previous_tau_is_own(monkeypatch):
+    monkeypatch.setattr(core, "_previous", lambda tau, off, span: tau)
+
+
 @pytest.mark.parametrize("mutate, scenario, kernels", [
-    (swap_axis_factors, "plane_axis_phi", (evolve_kernel_gap,
-                                           projection_kernel_gap)),
+    (swap_axis_factors, "plane_axis_phi", (projection_kernel_gap,)),
     (drop_jump_factor, "skew_6x10", (projection_kernel_gap,)),
-    (scale_compensator, "skew_6x10", (evolve_kernel_gap,
-                                      projection_kernel_gap)),
+    (scale_compensator, "skew_6x10", (projection_kernel_gap,)),
     (conjugate_phi, "skew_6x10", (evolve_kernel_gap, projection_kernel_gap)),
     (walk_one_step_ahead, "skew_6x10", (evolve_kernel_gap,
                                         projection_kernel_gap)),
+    (transpose_table_axes, "skew_6x10", (evolve_kernel_gap,)),
+    (scale_h_table, "skew_6x10", (evolve_kernel_gap,)),
+    (reflect_tau, "skew_6x10", (evolve_kernel_gap,)),
+    (drop_odd_nodes, "skew_6x10", (evolve_kernel_gap,)),
+    (previous_tau_is_own, "skew_6x10", (evolve_kernel_gap,)),
 ])
 def test_kernel_defect_breaks_the_oracle_comparison(monkeypatch, mutate,
                                                     scenario, kernels):
@@ -656,6 +835,42 @@ def test_projection_identity_planar_lattice():
     pr = st.projection_identity_check(lat2, prof, -0.6, 20000, seed=77)
     assert pr.spec_norm > 0.1
     assert pr.l2_error <= 5 * pr.stderr_norm
+
+
+def test_projection_reduction_holds_no_second_row_matrix(monkeypatch):
+    # from the kernel's return on, the (n/2, P) row matrix is the only
+    # full-size array: the variance takes its squared deviations in blocks
+    # (the kernel's own block temporaries are not counted here)
+    lat = PeriodicLattice((64, 64), 1.0,
+                          np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                          np.ones(4), np.array([1.0, 1.0, 0.0, 0.0]))
+    f = (sc.bump_profile(64, 20.0, 6.0)[:, None]
+         * sc.bump_profile(64, 40.0, 6.0)[None, :]).ravel()
+    kernel = core.projection_ensemble
+
+    def then_reset(*args):
+        rows = kernel(*args)
+        tracemalloc.reset_peak()
+        return rows
+    monkeypatch.setattr(core, "projection_ensemble", then_reset)
+    tracemalloc.start()
+    try:
+        st.projection_identity_check(lat, f, -0.8, 500, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * lat.n_points * 16 + (4 << 20)
+
+
+def test_sample_variance_keeps_numpys_bytes():
+    rng = np.random.default_rng(3)
+    for shape in ((250, 4096), (40, 3000), (7, 3), (1001,)):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mean, var = st._mean_var(values)
+        want = (values.real.var(axis=0, ddof=1)
+                + values.imag.var(axis=0, ddof=1)) / shape[0]
+        assert np.array_equal(var, want)
+        assert np.array_equal(mean, values.mean(axis=0))
 
 
 def test_levy_system_all_functionals():
