@@ -3,10 +3,13 @@
 :mod:`.core` holds the ensemble kernels (plain numpy: one vectorised walk
 gives every path's positions, the evolve kernel reads its semigroup values
 off Chebyshev-in-time grid tables in blocks of events, the projection sums
-run over each path's time-ordered events in blocks of whole paths, and the
-Lévy sums over all jumps at once); :mod:`.rng` holds the counter-based per-path random
-streams.  Ensemble statistics are reduced outside the kernels in a fixed
-order, so every run of a config and seed gives the same output.
+run over each path's time-ordered events in blocks of whole paths, handed
+out block by block, and the Lévy sums over all jumps at once); :mod:`.rng`
+holds the counter-based per-path random streams, so an ensemble drawn in
+chunks of paths is bit-identical to one drawn at once.  Callers pass the
+kernels one chunk at a time and reduce ensemble statistics outside them in
+a fixed order, so memory stays bounded whatever the path count and every
+run of a config and seed gives the same output.
 """
 
 from __future__ import annotations

@@ -22,7 +22,13 @@ e^{2 pi i k.x/n} = prod_a e^{2 pi i k_a x_a/n_a}; the factor of axis a is
 an (E, n_a) array read from the N = lcm(n) roots of unity in ``phase``.  The
 kernel forms the column before each event as the outer product of the
 factors, and the column after a jump as that column times omega, the column
-of the atom's step.
+of the atom's step.  It runs over blocks of whole paths of about ``BLOCK``
+events x modes, writes every per-event array of a block into buffers that
+the next block reuses, and hands out each block's rows as it makes them
+(``projection_blocks``), so a caller that folds them holds no (n, P) array.
+The kernels hold their whole ensemble's event list; callers bound it by
+passing paths in chunks, which the per-path random streams make
+bit-identical to one call.
 
 Compensator time integrals between consecutive events t1 < t2 are exact per
 mode,
@@ -40,7 +46,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-BLOCK = 1 << 16  # events x modes per block: bounds memory whatever n_paths is
+# events x modes per kernel block, and expected events per chunk of paths
+# (``stochastic.chunk_paths``): bounds memory whatever n_paths is
+BLOCK = 1 << 16
 MAX_NODES = 32  # Chebyshev nodes per piece of the evolve kernel's tau-window
 _TAIL = 1e-17  # bound on the first Chebyshev coefficient left out
 
@@ -102,11 +110,19 @@ def _factors(sizes, phase, coords):
                   % n_roots] for a, n in enumerate(sizes)]
 
 
-def _outer(factors):
-    """The flat columns prod_a factors[a][:, k_a], (E, P) in C order."""
+def _outer(factors, out=None):
+    """The flat columns prod_a factors[a][:, k_a], (E, P) in C order, the
+    last product written into ``out`` if given."""
     col = factors[0]
-    for f in factors[1:]:
-        col = (col[:, :, None] * f[:, None, :]).reshape(col.shape[0], -1)
+    for i, f in enumerate(factors[1:], 2):
+        dest = None
+        if out is not None and i == len(factors):
+            dest = out.reshape(col.shape[0], col.shape[1], f.shape[1])
+        col = np.multiply(col[:, :, None], f[:, None, :], out=dest).reshape(
+            col.shape[0], -1)
+    if out is not None and len(factors) == 1:
+        out[...] = col
+        return out
     return col
 
 
@@ -147,20 +163,31 @@ def _events(sizes, atom_steps, start, u, offsets, times, aidx, checkpoints):
                    coords[np.where(last >= first, last, -1)])
 
 
+def _capacity(n_modes, off):
+    """Rows of the per-event block buffers: a block holds ``BLOCK // P``
+    events, or the events of one longer path."""
+    return max(1, BLOCK // n_modes, int(np.diff(off).max(initial=0)))
+
+
 def _blocks(psi, u, decay_s, ev):
     """Per block of whole paths [p0, p1): its event slice, the decays
     e^{(u-t) psi} and their drops e^{(u-t_prev) psi} - e^{(u-t) psi} since
-    the path's previous event (since s for its first)."""
+    the path's previous event (since s for its first).  The decays and
+    drops are views of two buffers that the next block overwrites."""
     width = max(1, BLOCK // psi.shape[0])
     n_paths = ev.off.shape[0] - 1
+    decays = np.empty((_capacity(psi.shape[0], ev.off), psi.shape[0]))
+    drops = np.empty_like(decays)
     p0 = 0
     while p0 < n_paths:
         p1 = max(p0 + 1, int(np.searchsorted(ev.off, ev.off[p0] + width,
                                              "right")) - 1)
         sl = slice(ev.off[p0], ev.off[p1])
-        dec = np.exp((u - ev.t[sl, None]) * psi)
+        n_ev = sl.stop - sl.start
+        dec = np.multiply(u - ev.t[sl, None], psi, out=decays[:n_ev])
+        np.exp(dec, out=dec)
         heads = ev.off[p0:p1] - ev.off[p0]
-        drop = np.empty_like(dec)
+        drop = drops[:n_ev]
         np.subtract(dec[:-1], dec[1:], out=drop[1:])
         drop[heads] = decay_s - dec[heads]
         yield p0, p1, sl, dec, drop
@@ -286,6 +313,41 @@ def evolve_ensemble(sizes, psi, fhat, sphi, phase, atom_steps, atom_phi, fvals,
             np.add.reduceat(af > ag, firsts), lemma, pf0)
 
 
+def projection_blocks(sizes, psi, sphi, phase, atom_steps, atom_phi,
+                      s, u, counts, offsets, times, aidx):
+    """The rows of ``projection_ensemble`` block by block of whole paths:
+    (p0, p1, rows) for the paths [p0, p1).  ``rows`` and every per-event
+    array are views of buffers that the next block overwrites, so memory
+    does not grow with the ensemble beyond its event list."""
+    start = np.zeros(sizes.shape[0], np.int64)
+    ev = _events(sizes, atom_steps, start, u, offsets, times, aidx,
+                 np.empty(0))
+    jump = _jump_table(sizes, phase, atom_steps, atom_phi)
+    rate = _rate(psi, sphi)
+    cols = np.empty((_capacity(psi.shape[0], ev.off), psi.shape[0]),
+                    np.complex128)
+    amps = np.empty_like(cols)
+    row_buf = np.empty_like(cols)
+    for p0, p1, sl, dec, drop in _blocks(psi, u, np.exp((u - s) * psi), ev):
+        n_ev = sl.stop - sl.start
+        # (phi dec (omega - 1) - sphi panel) col, col_after = col omega;
+        # "wrap" reads index -1, the zero row, and needs no scratch copy
+        amp = np.take(jump, ev.atom[sl], axis=0, out=amps[:n_ev],
+                      mode="wrap")
+        amp *= dec
+        amp -= np.multiply(rate, drop, out=cols[:n_ev])
+        col = _outer(_factors(sizes, phase, ev.before[sl]), cols[:n_ev])
+        amp *= col
+        firsts = ev.off[p0:p1 + 1] - ev.off[p0]
+        # each path's last event is u, where the column is that of X_u
+        rows = np.add.reduceat(amp, firsts[:-1], axis=0,
+                               out=row_buf[:p1 - p0])
+        last = np.take(col, firsts[1:] - 1, axis=0, out=amps[:p1 - p0],
+                       mode="wrap")
+        rows *= np.conj(last, out=last)
+        yield p0, p1, rows
+
+
 def projection_ensemble(sizes, psi, sphi, phase, atom_steps, atom_phi,
                         s, u, counts, offsets, times, aidx):
     """Fourier rows R of H(w) = F_u(w - X_u), one per path from the origin,
@@ -293,23 +355,11 @@ def projection_ensemble(sizes, psi, sphi, phase, atom_steps, atom_phi,
 
     R_k = (jump part - compensator part)_k * e^{-2 pi i k.X_u/n}.
     """
-    start = np.zeros(sizes.shape[0], np.int64)
-    ev = _events(sizes, atom_steps, start, u, offsets, times, aidx,
-                 np.empty(0))
-    jump = _jump_table(sizes, phase, atom_steps, atom_phi)
-    rate = _rate(psi, sphi)
-    rows = np.zeros((counts.shape[0], psi.shape[0]), np.complex128)
-    for p0, p1, sl, dec, drop in _blocks(psi, u, np.exp((u - s) * psi), ev):
-        col = _outer(_factors(sizes, phase, ev.before[sl]))
-        # (phi dec (omega - 1) - sphi panel) col, col_after = col omega
-        amp = jump[ev.atom[sl]]
-        amp *= dec
-        amp -= rate * drop
-        amp *= col
-        firsts = ev.off[p0:p1 + 1] - ev.off[p0]
-        # each path's last event is u, where the column is that of X_u
-        rows[p0:p1] = (np.add.reduceat(amp, firsts[:-1])
-                       * np.conj(col[firsts[1:] - 1]))
+    rows = np.empty((counts.shape[0], psi.shape[0]), np.complex128)
+    for p0, p1, block in projection_blocks(sizes, psi, sphi, phase,
+                                           atom_steps, atom_phi, s, u,
+                                           counts, offsets, times, aidx):
+        rows[p0:p1] = block
     return rows
 
 

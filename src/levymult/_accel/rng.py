@@ -62,25 +62,27 @@ def sample_ensemble(seed: int, n_paths: int, rate: float, s: float, u: float,
     gap_keys = path_keys(seed, idx, 0)[:, None]
     lam = rate
     block = max(8, int(lam * span + 12.0 * np.sqrt(lam * span) + 30))
-    cum = None
-    base = 0
     parts = []
-    active = np.ones(n_paths, dtype=bool)
+    last = np.zeros(n_paths)
+    base = 0
     while True:
         ctr = np.arange(base, base + block, dtype=np.uint64)
         gaps = -np.log1p(-uniforms(gap_keys, ctr[None, :])) / lam
-        parts.append(gaps)
-        cum = np.cumsum(np.concatenate(parts, axis=1), axis=1)
-        active = cum[:, -1] <= span
-        if not active.any():
+        # the block's times continue from the last one, as a cumsum over
+        # every block's gaps would add them
+        gaps[:, 0] += last
+        parts.append(np.cumsum(gaps, axis=1, out=gaps))
+        last = gaps[:, -1]
+        if not (last <= span).any():
             break
         base += block  # extend every stream; extra draws are never consumed
-    counts = (cum <= span).sum(axis=1).astype(np.int64)
+    cum = np.concatenate(parts, axis=1)
+    keep = cum <= span
+    counts = keep.sum(axis=1).astype(np.int64)
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     total = int(offsets[-1])
     times = np.empty(total, dtype=np.float64)
-    keep = cum <= span
     times[:] = s + cum[keep]
     atom_keys = path_keys(seed, idx, 1)
     atom_idx = np.empty(total, dtype=np.int64)

@@ -33,6 +33,7 @@ from .scenarios import scenario_by_name, scenario_from_dict, shipped_scenarios
 from .stochastic import (
     burkholder_bound_check,
     check_projection_inputs,
+    chunk_paths,
     evolve_ensemble,
     l1_mass_check,
     levy_system_check,
@@ -275,11 +276,20 @@ def cmd_verify(args) -> int:
         proj = _timed(seconds, "projection", projection_identity_check,
                       scn.lattice, scn.f, scn.window[0] - scn.window[1],
                       n_paths, (seed + 5) % _SEED_END)
-        pieces, nodes = evolve_pieces(scn.lattice.psi,
-                                      scn.window[1] - scn.window[0])
+        span = scn.window[1] - scn.window[0]
+        pieces, nodes = evolve_pieces(scn.lattice.psi, span)
+        step = chunk_paths(scn.lattice, span)
+        chunked = {"ensemble": (chunk_paths(scn.lattice, span,
+                                            len(scn.checkpoints)), n_paths),
+                   "levy_system": (step, n_paths), "l1_mass": (step, n_paths),
+                   "projection": (step, proj.pairs)}
         stages[name] = {"seconds": seconds, "paths": n_paths,
                         "jumps": res.n_jumps, "modes": scn.lattice.n_points,
                         "projection_pairs": proj.pairs,
+                        "projection_kernel_s": proj.kernel_seconds,
+                        "chunk_paths": {k: c for k, (c, _) in chunked.items()},
+                        "chunks": {k: -(-n // c)
+                                   for k, (c, n) in chunked.items()},
                         "evolve_nodes": nodes, "evolve_pieces": pieces,
                         "table_bytes": _table_bytes(scn.lattice, nodes)}
         entry = {

@@ -18,6 +18,7 @@ indicators.  All ensembles are reproducible from (seed, path index) alone.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -239,52 +240,60 @@ class EnsembleResult:
     p_su_f_x0: complex
 
 
+def chunk_paths(lat: PeriodicLattice, span: float,
+                n_checkpoints: int = 0) -> int:
+    """Paths per chunk of a Monte Carlo stage: ``core.BLOCK`` events at the
+    expected rate * span + n_checkpoints + 1 events per path (its jumps,
+    checkpoints and end time), and at least one path."""
+    events = lat.total_rate * span + n_checkpoints + 1
+    return max(1, int(core.BLOCK // events))
+
+
+def _chunks(lat: PeriodicLattice, span: float, n_paths: int,
+            n_checkpoints: int = 0):
+    """(first, n) per chunk [first, first + n) of an ensemble's paths.  Each
+    path owns its random stream, so a chunk drawn with ``first_path`` holds
+    the paths of a single draw bit for bit."""
+    step = chunk_paths(lat, span, n_checkpoints)
+    for first in range(0, n_paths, step):
+        yield first, min(step, n_paths - first)
+
+
 def evolve_ensemble(scn: Scenario, n_paths: int, seed: int) -> EnsembleResult:
     """The pair (F, G) along ``n_paths`` paths; the drift, moment and
-    subordination checks are reductions of this one ensemble."""
+    subordination checks are reductions of this one ensemble.  The paths go
+    through the kernel in chunks (see ``chunk_paths``), and only the per-path
+    outputs are kept for the whole ensemble."""
     lat = scn.lattice
-    counts, offsets, times, aidx = sample_ensemble(lat, scn.window, n_paths, seed)
     s, u = scn.window
     cps = np.asarray(scn.checkpoints, dtype=float)
-    *rows, pf0 = core.evolve_ensemble(
-        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.fft(scn.f),
-        lat.sphi, lat.phase, lat.atom_steps, lat.phi, scn.f.astype(complex),
-        int(scn.x0), float(s), float(u), counts, offsets, times, aidx, cps)
-    return EnsembleResult(n_paths, int(counts.sum()), tuple(scn.window), cps,
-                          *rows, complex(pf0))
-
-
-def _sample_var(part):
-    """The sample variance over axis 0 of a real array, by numpy's two-pass
-    formula.  Rows of modes take their squared deviations ``core.BLOCK // P``
-    rows at a time, added row after row as numpy adds them, so no second
-    (n, P) array exists and the bytes are numpy's."""
-    if part.ndim == 1:
-        return part.var(ddof=1)
-    n = part.shape[0]
-    centre = part.sum(axis=0, keepdims=True) / n
-    width = max(1, core.BLOCK // part.shape[1])
-    total = None
-    for r0 in range(0, n, width):
-        sq = np.subtract(part[r0:r0 + width], centre)
-        np.square(sq, out=sq)
-        if total is not None:
-            sq[0] += total
-        total = sq.sum(axis=0)
-    return total / (n - 1)
+    fhat, fvals = lat.fft(scn.f), scn.f.astype(complex)
+    outs, n_jumps = None, 0
+    for first, n in _chunks(lat, u - s, n_paths, cps.shape[0]):
+        counts, offsets, times, aidx = sample_ensemble(lat, scn.window, n,
+                                                       seed, first)
+        *rows, pf0 = core.evolve_ensemble(
+            np.asarray(lat.sizes, dtype=np.int64), lat.psi, fhat, lat.sphi,
+            lat.phase, lat.atom_steps, lat.phi, fvals, int(scn.x0), float(s),
+            float(u), counts, offsets, times, aidx, cps)
+        if outs is None:
+            outs = [np.empty((n_paths, *r.shape[1:]), r.dtype) for r in rows]
+        for out, r in zip(outs, rows):
+            out[first:first + n] = r
+        n_jumps += int(counts.sum())
+    return EnsembleResult(n_paths, n_jumps, tuple(scn.window), cps, *outs,
+                          complex(pf0))
 
 
 def _mean_var(values):
     """The mean over paths (axis 0) and its variance, the sample variance
     over n (that of the real part plus that of the imaginary part)."""
     values = np.asarray(values)
-    n = len(values)
-    mean = values.mean(axis=0)
     if np.iscomplexobj(values):
-        var = _sample_var(values.real) + _sample_var(values.imag)
+        var = values.real.var(axis=0, ddof=1) + values.imag.var(axis=0, ddof=1)
     else:
-        var = _sample_var(values)
-    return mean, var / n
+        var = values.var(axis=0, ddof=1)
+    return values.mean(axis=0), var / len(values)
 
 
 def _mean_se(values):
@@ -495,9 +504,12 @@ class LevySystemRow:
             abs(self.lhs - self.rhs) <= 1e-12
 
 
-def _sample_jumps(lat: PeriodicLattice, window, n_paths: int, seed: int):
-    """Per-path jump counts and the Jumps of an ensemble."""
-    counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed)
+def _sample_jumps(lat: PeriodicLattice, window, n_paths: int, seed: int,
+                  first_path: int = 0):
+    """Per-path jump counts and the Jumps of the paths [first_path,
+    first_path + n_paths) of an ensemble."""
+    counts, offsets, times, aidx = sample_ensemble(lat, window, n_paths, seed,
+                                                   first_path)
     z = lat.atom_steps[aidx]
     y = core.walk(lat.sizes, lat.atom_steps, 0, offsets, aidx) - z
     return counts, Jumps(times, aidx, y, z)
@@ -508,11 +520,16 @@ def levy_system_check(lat: PeriodicLattice, window, n_paths: int,
     """Monte Carlo jump sums against the compensator integral, one row per
     functional of ``LEVY_FUNCTIONALS``, in its order."""
     s, t = window
-    counts, jumps = _sample_jumps(lat, window, n_paths, seed)
+    sums = np.empty((len(LEVY_FUNCTIONALS), n_paths))  # per functional, path
+    for first, n in _chunks(lat, t - s, n_paths):
+        counts, jumps = _sample_jumps(lat, window, n, seed, first)
+        for row, fn in zip(sums, LEVY_FUNCTIONALS.values()):
+            row[first:first + n] = core.levy_ensemble(
+                counts, fn.value(lat, float(s), jumps))
+        del counts, jumps  # freed before the next chunk is drawn
     rows = []
-    for name, fn in LEVY_FUNCTIONALS.items():
-        mean, se = _mean_se(core.levy_ensemble(
-            counts, fn.value(lat, float(s), jumps)))
+    for (name, fn), values in zip(LEVY_FUNCTIONALS.items(), sums):
+        mean, se = _mean_se(values)
         rows.append(LevySystemRow(name, float(mean), float(se),
                                   fn.compensator(lat, t - s)))
     return rows
@@ -531,6 +548,7 @@ class ProjectionResult:
     spec_norm: float
     grouped_curve: list  # (n, mean l2 error over disjoint n-path groups)
     pairs: int  # the base paths, each a pair with its mirror
+    kernel_seconds: float = 0.0  # wall seconds in the projection kernel
 
     @property
     def passed(self) -> bool:
@@ -591,6 +609,83 @@ def _pair_means(rows, sizes, fhat):
         block *= fhat
 
 
+class _PairMoments:
+    """The pair means of a stream of base rows, folded a buffer at a time.
+
+    Rows are copied into one reused buffer of ``8 * core.BLOCK`` values;
+    each full buffer becomes pair means (``_pair_means``) and is folded in:
+
+    * ``total``, their running sum, added row after row as numpy's axis-0
+      sum adds them, so ``total / n`` is the mean of one sum over all n;
+    * ``m2``, the per-mode sum of squared deviations (of the real part plus
+      those of the imaginary part), each batch's merged into the running
+      one as in Chan, Golub and LeVeque (1983);
+    * per group size m, the running sum of the current group of m
+      consecutive pair means, groups straddling buffer edges, and the
+      squared error ||ifft(group mean) - h_spec||^2 of each of the first
+      ``n_pairs // m`` groups; pair means past them are not read.
+    """
+
+    def __init__(self, lat: PeriodicLattice, fhat, h_spec, group_sizes,
+                 n_pairs):
+        n_modes = lat.n_points
+        self.lat, self.fhat, self.h_spec = lat, fhat, h_spec
+        # 8 BLOCKs, twice the kernel's block buffers: the check's largest
+        # transient array by a margin, so the allocator keeps the heap
+        # between checks instead of returning it (with 4 BLOCKs a 64 x 64,
+        # 500-path verify took ~2,300 minor page faults, against 1).  Row 0
+        # takes the running total before each batch's sum
+        self.buf = np.empty((1 + 8 * max(1, core.BLOCK // n_modes), n_modes),
+                            np.complex128)
+        self.fill = 0
+        self.n = 0
+        self.total = np.zeros(n_modes, np.complex128)
+        self.m2 = np.zeros(n_modes)
+        self.groups = [(m, n_pairs // m, np.zeros(n_modes, np.complex128), [])
+                       for m in group_sizes]
+
+    def push(self, rows):
+        """Buffer base rows; fold the buffer each time it fills."""
+        room = self.buf.shape[0] - 1
+        i = 0
+        while i < rows.shape[0]:
+            take = min(rows.shape[0] - i, room - self.fill)
+            self.buf[1 + self.fill:1 + self.fill + take] = rows[i:i + take]
+            self.fill += take
+            i += take
+            if self.fill == room:
+                self.fold()
+
+    def fold(self):
+        """Turn the buffered rows into pair means and merge them in."""
+        k = self.fill
+        if not k:
+            return
+        batch = self.buf[1:1 + k]
+        _pair_means(batch, self.lat.sizes, self.fhat)
+        for m, n_groups, acc, sq in self.groups:
+            i = 0
+            while i < k and (self.n + i) // m < n_groups:
+                j = min(k, i + m - (self.n + i) % m)
+                acc += batch[i:j].sum(axis=0)
+                if (self.n + j) % m == 0:  # the group is complete
+                    sq.append(np.linalg.norm(
+                        self.lat.ifft(acc / m) - self.h_spec) ** 2)
+                    acc[:] = 0.0
+                i = j
+        self.buf[0] = self.total
+        total = (self.buf[:1 + k] if self.n else batch).sum(axis=0)
+        centre = (total - self.total) / k  # the batch mean, to roundoff
+        dev = np.subtract(batch, centre, out=batch).view(np.float64)
+        np.square(dev, out=dev)
+        m2 = dev.sum(axis=0)
+        n = self.n + k
+        delta = centre - self.total / max(self.n, 1)
+        self.m2 += m2[0::2] + m2[1::2]
+        self.m2 += (delta.real ** 2 + delta.imag ** 2) * (self.n * k / n)
+        self.total, self.n, self.fill = total, n, 0
+
+
 def projection_identity_check(lat: PeriodicLattice, f, s: float,
                               n_paths: int, seed: int, n_curve=None) -> ProjectionResult:
     """Recover the finite-time multiplier from path functionals.
@@ -609,36 +704,44 @@ def projection_identity_check(lat: PeriodicLattice, f, s: float,
     ``n_paths // 2`` pair means.  ``n_paths`` and each ``n_curve`` size
     count paths, mirrors included (see ``check_projection_inputs``): an
     ``n_curve`` group is n/2 consecutive pair means.
+
+    The base paths are drawn and sent through the kernel in chunks (see
+    ``chunk_paths``), and the kernel's rows are folded as they are made
+    (``_PairMoments``), so no (n/2, P) array exists.
     """
     check_projection_inputs(lat, s, n_paths, n_curve)
     f = _boundary(lat, f)
     u = 0.0
     half = n_paths // 2
-    counts, offsets, times, aidx = sample_ensemble(lat, (s, u), half, seed)
     fhat = lat.fft(f)
-    pairs = core.projection_ensemble(
-        np.asarray(lat.sizes, dtype=np.int64), lat.psi, lat.sphi,
-        lat.phase, lat.atom_steps, lat.phi, float(s), float(u),
-        counts, offsets, times, aidx)
-    _pair_means(pairs, lat.sizes, fhat)
     h_spec = lat.ifft(finite_time_lattice_symbol(lat, s) * fhat)
-    mean_rows, var_mean = _mean_var(pairs)
-    h_mc = lat.ifft(mean_rows)
+    # rms of the error over disjoint groups of n/2 pair means: its square
+    # has expectation trace(cov)/(n/2) exactly, cov that of a pair mean, so
+    # the n^{-1/2} scale is pinned far more tightly than by a single prefix
+    pairs = _PairMoments(lat, fhat, h_spec, [n // 2 for n in n_curve or ()],
+                         half)
+    sizes = np.asarray(lat.sizes, dtype=np.int64)
+    kernel_s = 0.0
+    for first, n in _chunks(lat, u - s, half):
+        ens = sample_ensemble(lat, (s, u), n, seed, first)
+        clock = time.perf_counter()
+        for _, _, rows in core.projection_blocks(
+                sizes, lat.psi, lat.sphi, lat.phase, lat.atom_steps, lat.phi,
+                float(s), u, *ens):
+            kernel_s += time.perf_counter() - clock
+            pairs.push(rows)
+            clock = time.perf_counter()
+        kernel_s += time.perf_counter() - clock
+    pairs.fold()
+    h_mc = lat.ifft(pairs.total / half)
     err = float(np.linalg.norm(h_mc - h_spec))
-    stderr_norm = float(np.sqrt(var_mean.sum() / lat.n_points))
-    grouped = []
-    for n in n_curve or ():
-        # rms of the error over disjoint groups of n/2 pair means: its
-        # square has expectation trace(cov)/(n/2) exactly, cov that of a
-        # pair mean, so the n^{-1/2} scale is pinned far more tightly than
-        # by a single prefix
-        m = n // 2
-        sq = [np.linalg.norm(
-            lat.ifft(pairs[g * m:(g + 1) * m].mean(axis=0)) - h_spec) ** 2
-            for g in range(half // m)]
-        grouped.append((int(n), float(np.sqrt(np.mean(sq)))))
+    stderr_norm = float(np.sqrt(pairs.m2.sum() / (half - 1) / half
+                                / lat.n_points))
+    grouped = [(int(n), float(np.sqrt(np.mean(sq))))
+               for n, (*_, sq) in zip(n_curve or (), pairs.groups)]
     return ProjectionResult(h_mc, h_spec, err, stderr_norm,
-                            float(np.linalg.norm(h_spec)), grouped, half)
+                            float(np.linalg.norm(h_spec)), grouped, half,
+                            kernel_s)
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +769,12 @@ def l1_mass_check(lat: PeriodicLattice, f, window, n_paths: int, seed: int):
     s, t = window
     f = _boundary(lat, f)
     norm1 = float(np.abs(f).sum() * lat.h ** lat.d)
-    counts, _, _, aidx = sample_ensemble(lat, window, n_paths, seed)
     abs_phi = np.abs(lat.phi)
-    per_path = core.levy_ensemble(counts, abs_phi[aidx])
+    per_path = np.empty(n_paths)
+    for first, n in _chunks(lat, t - s, n_paths):
+        counts, _, _, aidx = sample_ensemble(lat, window, n, seed, first)
+        per_path[first:first + n] = core.levy_ensemble(counts, abs_phi[aidx])
+        del counts, _, aidx  # freed before the next chunk is drawn
     modulated_rate = float((lat.weights * abs_phi).sum())
     comp_part = (t - s) * modulated_rate
     values = 2.0 * norm1 * (per_path + comp_part)

@@ -314,6 +314,30 @@ def test_verify_sections_are_the_library_reductions(tmp_path):
             assert rep["scenarios"][name][section] == rows, section
 
 
+def test_verify_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # 7-path chunks for every stage: 29 evolve calls per scenario and the
+    # projection's 100 base paths in 15 chunks, and verify.json unchanged
+    cfg = write_json(tmp_path / "c.json", {
+        "scenarios": ["walk_phi1", "plane_axis_phi"], "n_paths": 200,
+        "seed": 5})
+    assert main(["--config", cfg, "--out", str(tmp_path / "one"),
+                 "verify"]) in (0, 1)
+    paths = []
+    evolve = core.evolve_ensemble
+
+    def counted(*args):
+        paths.append(len(args[11]))
+        return evolve(*args)
+
+    monkeypatch.setattr(core, "evolve_ensemble", counted)
+    monkeypatch.setattr(st, "chunk_paths", lambda *args: 7)
+    assert main(["--config", cfg, "--out", str(tmp_path / "chunked"),
+                 "verify"]) in (0, 1)
+    assert paths == 2 * ([7] * 28 + [4])
+    assert (tmp_path / "one" / "verify.json").read_bytes() == \
+        (tmp_path / "chunked" / "verify.json").read_bytes()
+
+
 def test_verify_unknown_scenario(tmp_path):
     cfg = write_json(tmp_path / "c.json", {"scenarios": ["nope"]})
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "verify"]) == 2
@@ -418,6 +442,20 @@ def test_verify_run_meta_records_stages(tmp_path):
             (200, int(counts.sum()), modes)
         # the projection check pairs each base path with its mirror
         assert entry["projection_pairs"] == 100
+        assert 0.0 <= entry["projection_kernel_s"] <= \
+            entry["seconds"]["projection"]
+        # chunks of BLOCK expected events per path: its jumps, checkpoints
+        # and end time; 200 paths or 100 base paths fit in one
+        scn = scenario_by_name(name)
+        span = scn.window[1] - scn.window[0]
+        events = scn.lattice.total_rate * span + 1
+        assert entry["chunk_paths"] == {
+            "ensemble": int(65536 // (events + len(scn.checkpoints))),
+            "levy_system": int(65536 // events),
+            "l1_mass": int(65536 // events),
+            "projection": int(65536 // events)}
+        assert entry["chunks"] == {"ensemble": 1, "levy_system": 1,
+                                   "l1_mass": 1, "projection": 1}
         lat = scenario_by_name(name).lattice
         jump = core._jump_table(np.asarray(lat.sizes), lat.phase,
                                 lat.atom_steps, lat.phi)
@@ -435,6 +473,7 @@ def test_verify_run_meta_records_stages(tmp_path):
     assert meta["seed"] == 7
     report = (tmp_path / "o" / "verify.json").read_text()
     assert "seconds" not in report and "jumps" not in report
+    assert "chunk" not in report
     assert "projection_pairs" not in report and "table_bytes" not in report
 
 

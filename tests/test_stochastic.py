@@ -837,29 +837,67 @@ def test_projection_identity_planar_lattice():
     assert pr.l2_error <= 5 * pr.stderr_norm
 
 
-def test_projection_reduction_holds_no_second_row_matrix(monkeypatch):
-    # from the kernel's return on, the (n/2, P) row matrix is the only
-    # full-size array: the variance takes its squared deviations in blocks
-    # (the kernel's own block temporaries are not counted here)
+def plane64():
+    """The 64 x 64 axis walk with an axis modulator, and a bump on it."""
     lat = PeriodicLattice((64, 64), 1.0,
                           np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
                           np.ones(4), np.array([1.0, 1.0, 0.0, 0.0]))
     f = (sc.bump_profile(64, 20.0, 6.0)[:, None]
          * sc.bump_profile(64, 40.0, 6.0)[None, :]).ravel()
-    kernel = core.projection_ensemble
+    return lat, f
 
-    def then_reset(*args):
-        rows = kernel(*args)
-        tracemalloc.reset_peak()
-        return rows
-    monkeypatch.setattr(core, "projection_ensemble", then_reset)
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
     tracemalloc.start()
     try:
-        st.projection_identity_check(lat, f, -0.8, 500, seed=11)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250 * lat.n_points * 16 + (4 << 20)
+
+
+def test_projection_reduction_holds_no_second_row_matrix():
+    # the rows are folded as the kernel makes them: the whole check stays
+    # below one (n/2, P) row matrix, which the check held (with a kernel
+    # block of 5.3 MB on top) before it streamed its rows
+    lat, f = plane64()
+    peak = traced_peak(st.projection_identity_check, lat, f, -0.8, 500, 11)
+    assert peak < 250 * lat.n_points * 16
+
+
+def test_projection_check_memory_is_flat():
+    # ten times the paths on 64 x 64 adds less than 2 MB (the event list
+    # and a sampled chunk); a check holding its row matrix adds 147 MB
+    lat, f = plane64()
+    small, big = (traced_peak(st.projection_identity_check, lat, f, -0.8, n,
+                              11) for n in (500, 5000))
+    assert big - small < 2 << 20
+
+
+@pytest.mark.parametrize("stage, out_bytes", [
+    # f_cp and g_cp at two checkpoints, f_u, g_u complex; qv_f, qv_g,
+    # violations, lemma_residual 8 bytes each
+    ("evolve", 6 * 16 + 4 * 8),
+    ("levy_system", 8 * len(st.LEVY_FUNCTIONALS)),  # one sum per functional
+    ("l1_mass", 8),
+])
+def test_stage_memory_grows_only_by_the_per_path_outputs(stage, out_bytes):
+    # ~75 jumps per path, so both sizes run in chunks of 840 paths: ten
+    # times the paths adds the per-path outputs, and at most 1 MB for the
+    # chunks' spread of event counts and the per-path reductions (a stage
+    # holding its whole ensemble's jumps adds tens of MB, the evolve
+    # kernel's events ~190 MB)
+    scn = long_window_scenario()
+    lat = scn.lattice
+    run = {"evolve": lambda n: st.evolve_ensemble(scn, n, 3),
+           "levy_system": lambda n: st.levy_system_check(lat, scn.window,
+                                                         n, 3),
+           "l1_mass": lambda n: st.l1_mass_check(lat, scn.f, scn.window, n,
+                                                 3)}[stage]
+    assert st.chunk_paths(lat, scn.window[1] - scn.window[0], 2) < 1000
+    small, big = (traced_peak(run, n) for n in (1000, 10000))
+    assert big - small < out_bytes * 9000 + (1 << 20)
 
 
 def test_sample_variance_keeps_numpys_bytes():
@@ -1137,13 +1175,13 @@ def test_reflection_matches_the_mirror_ensemble_on_symmetric_lattices(lat):
 def test_projection_kernel_sees_only_the_base_paths(monkeypatch):
     lat, n, seed, s = rich_lattice(), 40, 58, -0.8
     seen = []
-    projection = core.projection_ensemble
+    projection = core.projection_blocks
 
     def spy(*args):
         seen.append(args[-4:])
         return projection(*args)
 
-    monkeypatch.setattr(core, "projection_ensemble", spy)
+    monkeypatch.setattr(core, "projection_blocks", spy)
     st.projection_identity_check(lat, sc.bump_profile(32, 16.0, 2.0), s, n,
                                  seed)
     (ensemble,) = seen
@@ -1180,6 +1218,30 @@ def test_projection_stderr_oracle_catches_a_per_path_stderr(monkeypatch):
 
     monkeypatch.setattr(st, "_pair_means", unpaired)
     assert projection_stderr_gap()[1] > 0.1
+
+
+def test_grouped_curve_groups_straddle_fold_edges(monkeypatch):
+    # BLOCK = 3 P: 24-row fold buffers and 36-path chunks, so groups of 5, 7
+    # and 25 pair means straddle fold edges; the curve, the mean and the
+    # stderr stay those of the pair means taken all at once
+    monkeypatch.setattr(core, "BLOCK", 3 * 32)
+    lat, s, n, seed = walk_lattice(), -0.8, 400, 57
+    f = sc.bump_profile(32, 16.0, 2.0)
+    pr = st.projection_identity_check(lat, f, s, n, seed, n_curve=[10, 14, 50])
+    ens = st.sample_ensemble(lat, (s, 0.0), n // 2, seed)
+    pair = 0.5 * lat.fft(f) * (kernel_rows(lat, s, *ens)
+                               + kernel_rows(lat, s, *mirrored(lat, *ens)))
+    assert [size for size, _ in pr.grouped_curve] == [10, 14, 50]
+    for size, got in pr.grouped_curve:
+        m = size // 2
+        sq = [np.linalg.norm(lat.ifft(pair[g * m:(g + 1) * m].mean(axis=0))
+                             - pr.h_spec) ** 2 for g in range(n // 2 // m)]
+        assert abs(got - np.sqrt(np.mean(sq))) <= 1e-12 * got
+    var = pair.real.var(axis=0, ddof=1) + pair.imag.var(axis=0, ddof=1)
+    want = np.sqrt(var.sum() / (n // 2) / lat.n_points)
+    assert abs(pr.stderr_norm - want) <= 1e-12 * want
+    h_mc = lat.ifft(pair.mean(axis=0))
+    assert np.abs(pr.h_mc - h_mc).max() <= 1e-12 * np.abs(h_mc).max()
 
 
 def test_projection_rejects_a_lattice_without_mirrors():
@@ -1300,3 +1362,30 @@ def test_uniforms_pass_ks():
     k = prng.path_keys(123, np.arange(500), 3)
     u = prng.uniforms(k[:, None], np.arange(200)[None, :]).ravel()
     assert stats.kstest(u, "uniform").pvalue > 0.001
+
+
+def test_sample_extension_continues_the_cumsum(monkeypatch):
+    # uniforms scaled by 0.02 make the gaps ~100 times shorter, so the
+    # streams run past their first block of draws and are extended at
+    # least three times; the times equal those of the old formula, which
+    # re-concatenated and re-summed every block on each extension
+    uniforms = prng.uniforms
+    monkeypatch.setattr(prng, "uniforms",
+                        lambda keys, ctr: 0.02 * uniforms(keys, ctr))
+    lat, seed, n, (s, u) = walk_lattice(), 8, 1000, (0.5, 2.0)
+    rate, span = lat.total_rate, u - s
+    keys = prng.path_keys(seed, np.arange(n, dtype=np.uint64), 0)[:, None]
+    block = max(8, int(rate * span + 12.0 * np.sqrt(rate * span) + 30))
+    parts = []
+    while True:
+        ctr = np.arange(len(parts) * block, (len(parts) + 1) * block,
+                        dtype=np.uint64)
+        parts.append(-np.log1p(-prng.uniforms(keys, ctr[None, :])) / rate)
+        cum = np.cumsum(np.concatenate(parts, axis=1), axis=1)
+        if not (cum[:, -1] <= span).any():
+            break
+    assert len(parts) >= 4
+    counts, offsets, times, _ = prng.sample_ensemble(
+        seed, n, rate, s, u, lat.cum_weights)
+    assert np.array_equal(counts, (cum <= span).sum(axis=1))
+    assert np.array_equal(times, s + cum[cum <= span])
